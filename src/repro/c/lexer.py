@@ -232,6 +232,9 @@ def _scan_number(line: str, i: int, loc: SourceLocation) -> tuple[Token, int]:
         while i < n and (line[i] in "0123456789abcdefABCDEF"):
             i += 1
         text = line[start:i]
+        if i == start + 2:
+            raise LexError(f"hexadecimal constant {text!r} has no digits",
+                           loc)
         value = int(text, 16)
     else:
         while i < n and line[i].isdigit():
@@ -253,8 +256,13 @@ def _scan_number(line: str, i: int, loc: SourceLocation) -> tuple[Token, int]:
         text = line[start:i]
         if is_float:
             value = float(text)
+        elif text.startswith("0") and len(text) > 1:
+            if not all(digit in "01234567" for digit in text):
+                raise LexError(f"invalid digit in octal constant {text!r}",
+                               loc)
+            value = int(text, 8)
         else:
-            value = int(text, 8) if text.startswith("0") and len(text) > 1 else int(text)
+            value = int(text)
 
     unsigned_suffix = False
     while i < n and line[i] in "uUlLfF":

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Mapping, Optional, Union
 
 Number = Union[int, float]  # float only for math.inf
@@ -1053,6 +1054,17 @@ class CompareResult:
     def __bool__(self) -> bool:
         return self.holds
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompareResult):
+            return NotImplemented
+        return (self.holds, self.exact) == (other.holds, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.exact))
+
+    def __repr__(self) -> str:
+        return f"CompareResult(holds={self.holds}, exact={self.exact})"
+
 
 # Module-level default decision backend.  "fm" is the historical
 # Fourier-Motzkin / sampled procedure; "z3" and "cross" dispatch through
@@ -1078,26 +1090,28 @@ def get_default_backend() -> str:
 def bound_le(small: BExpr, large: BExpr,
              param_domains: Optional[Mapping[str, Iterable[int]]] = None,
              metric_samples: Optional[Iterable[Mapping[str, int]]] = None,
-             backend: Optional[str] = None) -> CompareResult:
+             backend: Optional[str] = None,
+             memo: Optional[SampleMemo] = None) -> CompareResult:
     """Decide ``small <= large`` (pointwise over metrics and parameters).
 
     Dispatches on ``backend`` (or the module default): ``fm`` is the
     Fourier-Motzkin / sampled procedure below, ``z3`` the SMT backend in
     :mod:`repro.logic.smt`, ``cross`` the agree-or-fail differential mode
-    that runs both and raises on any mismatch.
+    that runs both and raises on any mismatch.  ``memo`` caches the
+    sampled procedure's value vectors across the queries of one check.
     """
     chosen = backend or _BACKEND
     if chosen != "fm":
         from repro.logic import smt
         return smt.dispatch_bound_le(small, large, param_domains,
-                                     metric_samples, chosen)
-    return fm_bound_le(small, large, param_domains, metric_samples)
+                                     metric_samples, chosen, memo)
+    return fm_bound_le(small, large, param_domains, metric_samples, memo)
 
 
 def fm_bound_le(small: BExpr, large: BExpr,
                 param_domains: Optional[Mapping[str, Iterable[int]]] = None,
-                metric_samples: Optional[Iterable[Mapping[str, int]]] = None
-                ) -> CompareResult:
+                metric_samples: Optional[Iterable[Mapping[str, int]]] = None,
+                memo: Optional[SampleMemo] = None) -> CompareResult:
     """The Fourier-Motzkin / exhaustive-evaluation decision procedure.
 
     Ground expressions are compared exactly via max-plus normal forms.
@@ -1115,7 +1129,8 @@ def fm_bound_le(small: BExpr, large: BExpr,
         small_terms = maxplus_normal_form(small)
         large_terms = maxplus_normal_form(large)
     except NotGround:
-        return _bound_le_sampled(small, large, param_domains, metric_samples)
+        return _bound_le_sampled(small, large, param_domains, metric_samples,
+                                 memo)
     for term in small_terms:
         if not any(_term_le(term, other) for other in large_terms):
             if not _term_covered(term, large_terms):
@@ -1134,10 +1149,14 @@ def _default_metric_samples(atoms: set[str]) -> list[dict[str, int]]:
     return samples
 
 
-def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
-                      metric_samples) -> CompareResult:
+def _sampled_grid_inputs(small: BExpr, large: BExpr, param_domains,
+                         metric_samples):
+    """``(names, domains, metrics)`` of a sampled query's grid.
+
+    Raises the missing-domain ``ValueError`` before anything is
+    evaluated; both sampled procedures start here.
+    """
     params = param_names(small) | param_names(large)
-    atoms = metric_atoms(small) | metric_atoms(large)
     if param_domains is None:
         param_domains = {}
     missing = params - set(param_domains)
@@ -1145,9 +1164,26 @@ def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
         raise ValueError(
             f"no verification domain for parameters {sorted(missing)}")
     metrics = list(metric_samples) if metric_samples is not None \
-        else _default_metric_samples(atoms)
+        else _default_metric_samples(metric_atoms(small) | metric_atoms(large))
     names = sorted(params)
     domains = [list(param_domains[name]) for name in names]
+    return names, domains, metrics
+
+
+def _bound_le_sampled_reference(small: BExpr, large: BExpr, param_domains,
+                                metric_samples) -> CompareResult:
+    """The sampled order, point by point through :func:`evaluate`.
+
+    This is the definition :func:`_bound_le_sampled` must reproduce; the
+    ``cross`` backend re-decides every sampled verdict with it.
+    """
+    names, domains, metrics = _sampled_grid_inputs(
+        small, large, param_domains, metric_samples)
+    return _sampled_by_points(small, large, names, domains, metrics)
+
+
+def _sampled_by_points(small: BExpr, large: BExpr, names: list,
+                       domains: list, metrics: list) -> CompareResult:
     for metric in metrics:
         for combo in itertools.product(*domains) if names else [()]:
             valuation = dict(zip(names, combo))
@@ -1155,6 +1191,160 @@ def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
                     evaluate(large, metric, valuation):
                 return CompareResult(False, False)
     return CompareResult(True, False)
+
+
+class SampleMemo:
+    """Value vectors and verdicts of the sampled comparator, per grid.
+
+    One memo serves one derivation check (see
+    :class:`repro.logic.checker.CheckerContext`): the side conditions of
+    a recursive spec ask about the same subtrees on the same grid over
+    and over.  The checker clears it when the check returns, so a
+    long-lived process holds no vectors between requests.
+    """
+
+    __slots__ = ("grids",)
+
+    def __init__(self) -> None:
+        self.grids: dict = {}
+
+    def clear(self) -> None:
+        self.grids.clear()
+
+    def __len__(self) -> int:
+        return len(self.grids)
+
+
+class _Grid:
+    """One verification grid: the parameter domains × the metric samples.
+
+    A value vector has one cell per (metric sample, parameter combo), in
+    the order of the reference loop: metric samples outermost, then
+    ``itertools.product`` over the domains of the sorted parameters.
+    """
+
+    __slots__ = ("names", "domains", "metrics", "combos", "size",
+                 "vectors", "clamped", "verdicts")
+
+    def __init__(self, names: list, domains: list, metrics: list) -> None:
+        self.names = names
+        self.domains = domains
+        self.metrics = metrics
+        self.combos = math.prod(len(domain) for domain in domains)
+        self.size = self.combos * len(metrics)
+        self.vectors: dict[BExpr, list] = {}
+        self.clamped: dict[BExpr, list] = {}
+        self.verdicts: dict[tuple, bool] = {}
+
+    def vector(self, expr: BExpr) -> list:
+        vec = self.vectors.get(expr)
+        if vec is None:
+            vec = self._build(expr)
+            self.vectors[expr] = vec
+        return vec
+
+    def top(self, expr: BExpr) -> list:
+        """``expr``'s vector under evaluate()'s top-level clamp."""
+        vec = self.clamped.get(expr)
+        if vec is None:
+            vec = list(map(_clamp_top, self.vector(expr)))
+            self.clamped[expr] = vec
+        return vec
+
+    def _build(self, expr: BExpr) -> list:
+        # Cell for cell the arithmetic of _eval, so ∞, NaN (0·∞), negative
+        # parameter differences and the errors it raises come out alike.
+        if isinstance(expr, BConst):
+            return [expr.value] * self.size
+        if isinstance(expr, BMetric):
+            out: list = []
+            for metric in self.metrics:
+                out += [metric[expr.function]] * self.combos
+            return out
+        if isinstance(expr, BParam):
+            index = self.names.index(expr.name)
+            stride = math.prod(len(d) for d in self.domains[index + 1:])
+            block = [value for value in self.domains[index]
+                     for _ in range(stride)]
+            return block * (self.size // max(1, len(block)))
+        if isinstance(expr, BAdd):
+            total = [0] * self.size
+            for item in expr.items:
+                total = list(map(operator.add, total, self.vector(item)))
+            return total
+        if isinstance(expr, BMax):
+            if not expr.items:
+                raise ValueError("max of no bounds")
+            return [max(cells) for cells in
+                    zip(*(self.vector(item) for item in expr.items))]
+        if isinstance(expr, BScale):
+            factor = expr.factor
+            return [factor * value for value in self.vector(expr.body)]
+        if isinstance(expr, BFrameDiff):
+            return [INFINITY if total == INFINITY else max(0, total - part)
+                    for total, part in zip(self.vector(expr.total),
+                                           self.vector(expr.part))]
+        if isinstance(expr, BMul):
+            return list(map(operator.mul, self.vector(expr.left),
+                            self.vector(expr.right)))
+        if isinstance(expr, BLog2):
+            return [INFINITY if arg < 0 else 0 if arg <= 1
+                    else math.ceil(math.log2(arg))
+                    for arg in self.vector(expr.arg)]
+        if isinstance(expr, BParamDiff):
+            return list(map(operator.sub, self.vector(expr.left),
+                            self.vector(expr.right)))
+        if isinstance(expr, BHalf):
+            shift = 1 if expr.ceil else 0
+            return [INFINITY if value == INFINITY
+                    else (int(value) + shift) // 2
+                    for value in self.vector(expr.arg)]
+        raise TypeError(f"unknown bound expression {expr!r}")
+
+    def holds(self, small: BExpr, large: BExpr) -> bool:
+        key = (small, large)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            small_vec, large_vec = self.top(small), self.top(large)
+            if _FAULT == "sampled-grid-truncate":
+                small_vec = small_vec[:-1]
+            verdict = not any(map(operator.gt, small_vec, large_vec))
+            self.verdicts[key] = verdict
+        return verdict
+
+
+def _clamp_top(value: Number) -> Number:
+    # evaluate()'s clamp: max(0, NaN) is 0, as it always was.
+    return INFINITY if value == INFINITY else max(0, value)
+
+
+def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
+                      metric_samples, memo: Optional[SampleMemo] = None
+                      ) -> CompareResult:
+    """The sampled order, decided on value vectors over the whole grid.
+
+    Every node is evaluated once per grid into a vector (memoized in
+    ``memo`` when memoization is on), and the clamped vectors of the two
+    sides are compared cell by cell.  Where building a vector raises —
+    a metric sample lacking an atom, ``int()`` of a NaN — the reference
+    loop decides instead, so the query raises the same error, or finds
+    the violation that precedes it, exactly as before.
+    """
+    names, domains, metrics = _sampled_grid_inputs(
+        small, large, param_domains, metric_samples)
+    if memo is not None and _memo_enabled:
+        key = (tuple(names), tuple(map(tuple, domains)),
+               tuple(tuple(sorted(metric.items())) for metric in metrics))
+        grid = memo.grids.get(key)
+        if grid is None:
+            grid = memo.grids[key] = _Grid(names, domains, metrics)
+    else:
+        grid = _Grid(names, domains, metrics)
+    try:
+        holds = grid.holds(small, large)
+    except (LookupError, ValueError, ArithmeticError, TypeError):
+        return _sampled_by_points(small, large, names, domains, metrics)
+    return CompareResult(holds, False)
 
 
 def bound_equal(a: BExpr, b: BExpr, **kwargs) -> CompareResult:

@@ -24,8 +24,8 @@ from repro.clight import ast as cl
 from repro.errors import DerivationError
 from repro.logic import derivation as dv
 from repro.logic.assertions import FunContext, Post
-from repro.logic.bexpr import (BExpr, ZERO, badd, bmetric, bound_equal,
-                               bound_le, frame_diffs)
+from repro.logic.bexpr import (BExpr, SampleMemo, ZERO, badd, bmetric,
+                               bound_equal, bound_le, frame_diffs)
 
 
 class CheckReport:
@@ -63,15 +63,21 @@ class CheckerContext:
         # check — including Q:FRAME domination — run agree-or-fail against
         # the SMT backend.
         self.bounds_backend = bounds_backend
+        # Value vectors of the sampled side conditions; filled during one
+        # check and emptied when it returns (see check_function_spec).
+        self.sample_memo = SampleMemo()
 
 
 def check_derivation(derivation: dv.Derivation, ctx: CheckerContext
                      ) -> CheckReport:
     """Validate a derivation; raises :class:`DerivationError` on failure."""
     report = CheckReport()
-    with obs.span("checker.derivation") as sp:
-        _check(derivation, ctx, report)
-        sp.set(nodes=report.nodes)
+    try:
+        with obs.span("checker.derivation") as sp:
+            _check(derivation, ctx, report)
+            sp.set(nodes=report.nodes)
+    finally:
+        ctx.sample_memo.clear()
     obs.observe("checker.derivation_seconds", sp.dur)
     return report
 
@@ -84,9 +90,20 @@ def check_function_spec(function: cl.Function, derivation: dv.Derivation,
     The derivation's conclusion must be ``{P_f} body {(Q_f, ⊤, Q_f, ⊤)}``
     with break/continue exits unreachable at function top level (their
     slots are unconstrained), and the return exit restoring ``Q_f``.
+    The sampled side conditions share ``ctx.sample_memo`` while the check
+    runs; it is empty again when this returns or raises.
     """
     if report is None:
         report = CheckReport()
+    try:
+        _check_function_spec(function, derivation, ctx, report)
+    finally:
+        ctx.sample_memo.clear()
+    return report
+
+
+def _check_function_spec(function: cl.Function, derivation: dv.Derivation,
+                         ctx: CheckerContext, report: CheckReport) -> None:
     spec = ctx.gamma[function.name]
     identity = {name: _param(name) for name in spec.params}
     pre, post = spec.instantiate(identity)
@@ -106,7 +123,6 @@ def check_function_spec(function: cl.Function, derivation: dv.Derivation,
         _check(derivation, ctx, report)
         sp.set(nodes=report.nodes - before)
     obs.observe("checker.derivation_seconds", sp.dur)
-    return report
 
 
 def _param(name: str) -> BExpr:
@@ -385,7 +401,7 @@ def _require_eq(a: BExpr, b: BExpr, ctx: CheckerContext, report: CheckReport,
         return
     result = bound_equal(a, b, param_domains=ctx.param_domains,
                          metric_samples=ctx.metric_samples,
-                         backend=ctx.bounds_backend)
+                         backend=ctx.bounds_backend, memo=ctx.sample_memo)
     _record(result, report)
     if not result.holds:
         raise DerivationError(f"{message}: {a!r} != {b!r}")
@@ -395,7 +411,7 @@ def _require_le(small: BExpr, large: BExpr, ctx: CheckerContext,
                 report: CheckReport, message: str) -> None:
     result = bound_le(small, large, param_domains=ctx.param_domains,
                       metric_samples=ctx.metric_samples,
-                      backend=ctx.bounds_backend)
+                      backend=ctx.bounds_backend, memo=ctx.sample_memo)
     _record(result, report)
     if not result.holds:
         raise DerivationError(f"{message}: {small!r} > {large!r}")

@@ -32,7 +32,7 @@ or :func:`repro.logic.bexpr.set_default_backend`):
     mismatch.  The FM verdict is always the one returned, so ``cross``
     never *changes* an answer, it only refuses to let a lying one pass
     silently.  When z3 is not installed the mode degrades gracefully to
-    FM plus two z3-free audits (logged via the
+    FM plus three z3-free audits (logged via the
     ``logic.crosscheck.fm_only`` counter):
 
     * **witness audit** — an exact (ground) FM refusal must be certified
@@ -42,7 +42,10 @@ or :func:`repro.logic.bexpr.set_default_backend`):
       ``fm-nonneg-drop`` without z3);
     * **sample audit** — an exact FM affirmation is re-evaluated on the
       default metric sample grid; any violating point means the
-      comparator affirmed an inequality evaluation refutes.
+      comparator affirmed an inequality evaluation refutes;
+    * **sample oracle** — a sampled (parametric) verdict, which FM
+      decides on value vectors, is re-decided point by point by
+      ``bexpr._bound_le_sampled_reference``; the two must agree.
 
 Infinity (``∞ ∈ N ∪ {∞}``) is handled by translating every subterm to a
 ``(value, is_infinite)`` pair with the propagation rules of
@@ -105,8 +108,8 @@ class ComparatorDisagreement(ReproError):
     and ``smt`` the two verdicts (``smt`` is ``None`` when an audit —
     not the z3 differential — caught the lie), ``caught_by`` names the
     detecting check (``smt-differential`` / ``witness-audit`` /
-    ``sample-audit``) and ``witness`` carries a concrete valuation
-    refuting the losing verdict when one is known.
+    ``sample-audit`` / ``sample-oracle``) and ``witness`` carries a
+    concrete valuation refuting the losing verdict when one is known.
     """
 
     def __init__(self, query: dict, fm: Optional[bool], smt: Optional[bool],
@@ -135,7 +138,8 @@ class ComparatorDisagreement(ReproError):
 
 def dispatch_bound_le(small: BExpr, large: BExpr,
                       param_domains: Optional[Mapping[str, Iterable[int]]],
-                      metric_samples, backend: str) -> CompareResult:
+                      metric_samples, backend: str,
+                      memo: Optional[bx.SampleMemo] = None) -> CompareResult:
     """Decide ``small <= large`` under a non-default backend."""
     if backend == "z3":
         obs.add("logic.backend.z3.queries")
@@ -149,10 +153,11 @@ def dispatch_bound_le(small: BExpr, large: BExpr,
             return result
         except SmtUnsupported:
             obs.add("logic.smt.unsupported")
-            return bx.fm_bound_le(small, large, param_domains, metric_samples)
+            return bx.fm_bound_le(small, large, param_domains,
+                                  metric_samples, memo)
     if backend == "cross":
         return crosscheck_bound_le(small, large, param_domains,
-                                   metric_samples)
+                                   metric_samples, memo)
     raise ValueError(f"unknown bounds backend {backend!r}; "
                      f"known: {', '.join(BACKENDS)}")
 
@@ -160,7 +165,9 @@ def dispatch_bound_le(small: BExpr, large: BExpr,
 def crosscheck_bound_le(small: BExpr, large: BExpr,
                         param_domains: Optional[Mapping[str,
                                                         Iterable[int]]] = None,
-                        metric_samples=None) -> CompareResult:
+                        metric_samples=None,
+                        memo: Optional[bx.SampleMemo] = None
+                        ) -> CompareResult:
     """Run FM and the SMT backend agree-or-fail; return the FM verdict.
 
     Raises :class:`ComparatorDisagreement` on any unexplained mismatch.
@@ -168,8 +175,10 @@ def crosscheck_bound_le(small: BExpr, large: BExpr,
     always buys *some* independence over plain ``fm``.
     """
     obs.add("logic.backend.cross.queries")
+    if metric_samples is not None:
+        metric_samples = list(metric_samples)  # read twice below
     blow0 = bx.fm_blowup_count()
-    fm = bx.fm_bound_le(small, large, param_domains, metric_samples)
+    fm = bx.fm_bound_le(small, large, param_domains, metric_samples, memo)
     blown = bx.fm_blowup_count() != blow0
 
     smt_result = witness = None
@@ -188,6 +197,17 @@ def crosscheck_bound_le(small: BExpr, large: BExpr,
 
     query = {"op": "bound_le", "small": small, "large": large,
              "param_domains": dict(param_domains or {})}
+
+    if not fm.exact:
+        # A sampled verdict: the vector procedure must agree with the
+        # point-by-point reference on the same (frame-rewritten) query.
+        reference = bx._bound_le_sampled_reference(
+            bx._rewrite_frames(small), bx._rewrite_frames(large),
+            param_domains, metric_samples)
+        if reference.holds != fm.holds:
+            _disagree(query, fm.holds, None, caught_by="sample-oracle",
+                      detail=f"point-by-point evaluation says "
+                             f"holds={reference.holds}")
 
     if smt_result is not None and smt_result.holds != fm.holds:
         if blown and not fm.holds:

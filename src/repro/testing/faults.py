@@ -54,6 +54,12 @@ organized by the layer it attacks:
     decoded differential oracle must observe the divergence (return
     code, trace, watermark or failure reason).  Self-contained
     scenarios, like the serving layer.
+``comparator``
+    The bound-order decision procedure lies (``repro.logic.bexpr``):
+    Fourier-Motzkin builds a wrong failure region, or the sampled
+    procedure drops the last point of its grid.  The ``cross`` backend
+    (``repro.logic.smt``) must flag the flipped verdict.  Self-contained
+    scenarios, like the serving layer.
 
 ``run_mutation_matrix`` applies every registered operator to artifacts
 produced from catalog programs and generated seeds and reports, per
@@ -72,7 +78,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.events.metrics import StackMetric
 from repro.events.trace import (CallEvent, Event, IOEvent, ReturnEvent,
                                 is_well_bracketed, prune)
-from repro.logic.bexpr import BConst, BMetric, BScale, badd, bmax
+from repro.logic.bexpr import (BConst, BFrameDiff, BMetric, BMul, BParam,
+                               BScale, CompareResult, badd, bmax)
 
 LAYERS = ("metric", "derivation", "certificate", "refinement", "analysis",
           "serving", "codegen", "comparator")
@@ -562,42 +569,46 @@ def _values_candidate_widen() -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _comparator_fault(knob: str, small, large) -> tuple[bool, str, str]:
-    """Self-contained comparator scenario shared by both operators.
+def _comparator_fault(knob: str, small, large, param_domains=None,
+                      expected=CompareResult(True, True)
+                      ) -> tuple[bool, str, str]:
+    """Self-contained comparator scenario shared by the operators.
 
-    The fault knob corrupts the failure-region construction in
-    ``_term_covered`` so Fourier-Motzkin wrongly *refuses* a valid
-    inequality — the quiet direction: nothing downstream crashes, the
-    analyzer just reports looser bounds and derivation re-checks start
-    failing.  Only the cross-check backend notices: with z3 installed the
-    differential disagrees outright, and without it the witness audit
-    flags an exact refusal that ``find_violation_metric`` (whose own
-    constraint construction is intact) cannot certify.
+    ``expected`` is the clean verdict (default: holds exactly) and the
+    knob must flip it.  The FM knobs corrupt the failure-region
+    construction in ``_term_covered`` so Fourier-Motzkin wrongly
+    *refuses* a valid inequality — the quiet direction: nothing
+    downstream crashes, the analyzer just reports looser bounds and
+    derivation re-checks start failing.  Only the cross-check backend
+    notices: with z3 installed the differential disagrees outright, and
+    without it the witness audit flags an exact refusal that
+    ``find_violation_metric`` (whose own constraint construction is
+    intact) cannot certify.
     """
     from repro.logic import bexpr, smt
 
-    clean = bexpr.fm_bound_le(small, large)
-    if not (clean.holds and clean.exact):
-        return False, "", ("scenario query must hold exactly on a clean "
-                           f"comparator, got holds={clean.holds}")
+    clean = bexpr.fm_bound_le(small, large, param_domains)
+    if clean != expected:
+        return False, "", (f"scenario query must give {expected!r} on a "
+                           f"clean comparator, got {clean!r}")
     previous = bexpr._FAULT
     bexpr._FAULT = knob
     try:
-        lied = bexpr.fm_bound_le(small, large)
-        if lied.holds:
-            return False, "", ("knobbed comparator still affirms the "
-                               "query; the fault has no effect here")
+        lied = bexpr.fm_bound_le(small, large, param_domains)
+        if lied.holds == clean.holds:
+            return False, "", ("knobbed comparator gives the clean verdict; "
+                               "the fault has no effect here")
         try:
-            smt.crosscheck_bound_le(small, large)
+            smt.crosscheck_bound_le(small, large, param_domains)
         except smt.ComparatorDisagreement as disagreement:
             caught_by, diagnostic = disagreement.caught_by, str(disagreement)
         else:
-            return False, "", ("cross-check accepted the lying refusal "
+            return False, "", ("cross-check accepted the lying verdict "
                                "(comparator gap)")
     finally:
         bexpr._FAULT = previous
-    if not smt.crosscheck_bound_le(small, large).holds:
-        return False, "", "fault leaked: clean comparator still refuses"
+    if smt.crosscheck_bound_le(small, large, param_domains) != expected:
+        return False, "", "fault leaked: clean comparator verdict changed"
     return True, caught_by, diagnostic
 
 
@@ -625,6 +636,22 @@ def _fm_nonneg_drop() -> tuple[bool, str, str]:
     return _comparator_fault("fm-nonneg-drop",
                              badd(f, g),
                              bmax(BScale(2, f), BScale(3, g)))
+
+
+@_register("sampled-grid-truncate", "comparator",
+           "decide sampled comparisons on value vectors without the last "
+           "grid point")
+def _sampled_grid_truncate() -> tuple[bool, str, str]:
+    # n + max(0, 1 - M(f)) * max(0, n - 7) exceeds n only at n = 8 under
+    # M(f) = 0: the last parameter value of the last default metric
+    # sample, i.e. the last grid point.  The truncated vector comparison
+    # affirms; only the cross-check's point-by-point sample oracle sees
+    # the violation (z3 is not needed).
+    n, f = BParam("n"), BMetric("f")
+    planted = BMul(BFrameDiff(BConst(1), f), BFrameDiff(n, BConst(7)))
+    return _comparator_fault("sampled-grid-truncate", badd(n, planted), n,
+                             param_domains={"n": range(0, 9)},
+                             expected=CompareResult(False, False))
 
 
 # ---------------------------------------------------------------------------

@@ -75,3 +75,12 @@ class TestCatalogReplayUnderCross:
         report = bounds.analysis.check(bounds_backend="cross")
         assert report.nodes > 0
         assert int(bounds.stack_requirement()) >= 0
+
+    def test_paper_example_sampled_verdicts_match_the_reference(self):
+        # Under cross, every sampled verdict is re-decided point by point
+        # (the sample oracle); with the RECURSIVE replay above this covers
+        # every sampled query the catalog makes.
+        bounds = verify_stack_bounds(load_source("paper_example.c"),
+                                     filename="paper_example.c")
+        report = bounds.analysis.check(bounds_backend="cross")
+        assert report.sampled_conditions > 0

@@ -69,6 +69,8 @@ class TestMatrix:
             "recursive/bsearch.c"
         assert by_name["values-candidate-widen"].caught_by == \
             "values-differential"
+        # The vector comparator's reference oracle needs no z3.
+        assert by_name["sampled-grid-truncate"].caught_by == "sample-oracle"
 
     def test_report_serializes(self, report):
         import json

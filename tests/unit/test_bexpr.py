@@ -5,9 +5,12 @@ import math
 import pytest
 
 from repro.logic.bexpr import (BConst, BFrameDiff, BLog2, BMax, BMul, BParam,
-                               BParamDiff, BScale, INFINITY, NotGround, TOP,
-                               ZERO, badd, bconst, bmax, bmetric, bound_equal,
-                               bound_le, bparam, evaluate, fold_with_params,
+                               BParamDiff, BScale, CompareResult, INFINITY,
+                               NotGround, SampleMemo, TOP, ZERO,
+                               _bound_le_sampled, _bound_le_sampled_reference,
+                               badd, bconst, bmax, bmetric, bound_equal,
+                               bound_le, bparam, configure_memoization,
+                               evaluate, fold_with_params,
                                maxplus_normal_form, metric_atoms, param_names,
                                substitute_params)
 
@@ -217,3 +220,164 @@ class TestFolding:
         for n in (0, 1, 5, 33):
             folded = fold_with_params(expr, {"n": n})
             assert evaluate(folded, M) == evaluate(expr, M, {"n": n})
+
+
+class TestCompareResult:
+    def test_value_equality(self):
+        assert CompareResult(True, False) == CompareResult(True, False)
+        assert CompareResult(True, True) != CompareResult(True, False)
+        assert CompareResult(False, True) != CompareResult(True, True)
+        assert CompareResult(True, True) != (True, True)
+
+    def test_hash_follows_equality(self):
+        results = {CompareResult(True, True), CompareResult(True, True),
+                   CompareResult(False, False)}
+        assert results == {CompareResult(False, False),
+                           CompareResult(True, True)}
+
+    def test_repr_names_both_fields(self):
+        assert repr(CompareResult(False, True)) == \
+            "CompareResult(holds=False, exact=True)"
+
+    def test_comparators_return_equal_values(self):
+        query = (bparam("n"), bconst(10))
+        domains = {"n": range(0, 11)}
+        assert bound_le(*query, param_domains=domains) == \
+            bound_le(*query, param_domains=domains)
+
+
+class TestSampledVectors:
+    """The vector path against the point-by-point reference."""
+
+    def decide_both(self, small, large, domains=None, samples=None):
+        vector = _bound_le_sampled(small, large, domains, samples)
+        reference = _bound_le_sampled_reference(small, large, domains,
+                                                samples)
+        assert vector == reference
+        return vector
+
+    def test_missing_domain_raises_before_evaluation(self):
+        # The metric sample lacks M(f) too; the domain error comes first.
+        for decide in (_bound_le_sampled, _bound_le_sampled_reference):
+            with pytest.raises(ValueError, match="verification domain"):
+                decide(badd(bparam("n"), bmetric("f")), bconst(1), {}, [{}])
+
+    def test_missing_atom_raises_lookup_error(self):
+        for decide in (_bound_le_sampled, _bound_le_sampled_reference):
+            with pytest.raises(KeyError):
+                decide(badd(bparam("n"), bmetric("f")), bmetric("f"),
+                       {"n": [0, 1]}, [{"g": 1}])
+
+    def test_violation_before_missing_atom_wins(self):
+        # The reference stops at the first violation; so must the vectors.
+        small = badd(bparam("n"), bmetric("f"))
+        result = self.decide_both(small, bmetric("f"), {"n": [1]},
+                                  [{"f": 3}, {"g": 1}])
+        assert not result.holds
+
+    def test_grid_order_is_metric_major(self):
+        memo = SampleMemo()
+        domains = {"a": [0, 1], "b": [10, 20, 30]}
+        samples = [{"f": 1}, {"f": 2}]
+        _bound_le_sampled(bparam("a"), badd(bparam("b"), bmetric("f")),
+                          domains, samples, memo)
+        (grid,) = memo.grids.values()
+        assert grid.vector(bparam("a")) == [0, 0, 0, 1, 1, 1] * 2
+        assert grid.vector(bparam("b")) == [10, 20, 30] * 4
+        assert grid.vector(bmetric("f")) == [1] * 6 + [2] * 6
+
+    def test_memo_reuses_vectors_and_verdicts(self):
+        memo = SampleMemo()
+        domains = {"n": range(0, 40)}
+        small, large = BScale(2, bparam("n")), badd(bparam("n"), bparam("n"))
+        first = _bound_le_sampled(small, large, domains, None, memo)
+        (grid,) = memo.grids.values()
+        vectors = dict(grid.vectors)
+        assert _bound_le_sampled(small, large, domains, None, memo) == first
+        assert grid.vectors == vectors and len(grid.verdicts) == 1
+
+    def test_memoization_off_bypasses_the_memo(self):
+        memo = SampleMemo()
+        configure_memoization(False)
+        try:
+            result = _bound_le_sampled(bparam("n"), bconst(5),
+                                       {"n": range(0, 6)}, None, memo)
+        finally:
+            configure_memoization(True)
+        assert result == CompareResult(True, False)
+        assert len(memo) == 0
+
+
+def _recursive_analysis(path):
+    from repro.analyzer import StackAnalyzer
+    from repro.driver import compile_frontend
+    from repro.programs.loader import load_source
+
+    program = compile_frontend(load_source(path), filename=path)
+    return StackAnalyzer(program).analyze()
+
+
+class TestCheckerMemoScope:
+    def check_all(self, analysis, ctx):
+        from repro.logic.checker import CheckReport, check_function_spec
+
+        report = CheckReport()
+        for name, function_analysis in analysis.functions.items():
+            check_function_spec(analysis.program.function(name),
+                                function_analysis.derivation, ctx, report)
+        return report
+
+    def make_ctx(self, analysis):
+        from repro.logic.checker import CheckerContext
+
+        return CheckerContext(analysis.gamma,
+                              externals=analysis.program.externals,
+                              param_domains=analysis.param_domains)
+
+    def test_memo_is_empty_once_the_check_returns(self):
+        analysis = _recursive_analysis("recursive/bsearch.c")
+        ctx = self.make_ctx(analysis)
+        sizes = []
+
+        class SpyMemo(SampleMemo):
+            def clear(self):
+                sizes.append(len(self))
+                super().clear()
+
+        ctx.sample_memo = SpyMemo()
+        report = self.check_all(analysis, ctx)
+        assert report.sampled_conditions > 0
+        assert max(sizes) > 0          # the check did fill it ...
+        assert len(ctx.sample_memo) == 0  # ... and left it empty
+
+    def test_memo_is_empty_after_a_refused_check(self):
+        from repro.errors import DerivationError
+        from repro.logic.assertions import FunSpec
+        from repro.logic.checker import check_function_spec
+
+        analysis = _recursive_analysis("recursive/bsearch.c")
+        ctx = self.make_ctx(analysis)
+        name = next(n for n in analysis.functions if analysis.gamma[n].params)
+        spec = ctx.gamma[name]
+        # Claim one byte more than the derivation proves: the parametric
+        # precondition check is a sampled refusal.
+        ctx.gamma = ctx.gamma.extended(FunSpec(
+            name, spec.params, badd(spec.pre, bconst(1)), spec.post))
+        with pytest.raises(DerivationError, match="precondition"):
+            check_function_spec(analysis.program.function(name),
+                                analysis.functions[name].derivation, ctx)
+        assert len(ctx.sample_memo) == 0
+
+    @pytest.mark.parametrize("path", ["paper_example.c",
+                                      "recursive/qsort.c",
+                                      "recursive/fact_sq.c"])
+    def test_memoization_off_gives_identical_verdicts(self, path):
+        analysis = _recursive_analysis(path)
+        with_memo = self.check_all(analysis, self.make_ctx(analysis))
+        configure_memoization(False)
+        try:
+            without = self.check_all(analysis, self.make_ctx(analysis))
+        finally:
+            configure_memoization(True)
+        assert repr(with_memo) == repr(without)
+        assert with_memo.sampled_conditions > 0

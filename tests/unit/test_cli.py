@@ -204,6 +204,15 @@ class TestErrors:
         assert main(["bounds", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["08", "0x"])
+    def test_malformed_number_is_diagnosed(self, tmp_path, capsys, literal):
+        path = tmp_path / "number.c"
+        path.write_text(f"int main(void){{ return {literal}; }}")
+        assert main(["bounds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1:24:" in err
+        assert "Traceback" not in err
+
     def test_recursion_reported(self, tmp_path, capsys):
         path = tmp_path / "rec.c"
         path.write_text("int f(int n) { return f(n); } "

@@ -197,8 +197,19 @@ class TestComparatorOperators:
         # the lie does not survive.
         assert caught_by in ("smt-differential", "witness-audit")
 
+    def test_grid_truncation_is_caught_by_the_sample_oracle(self):
+        assert get_operator("sampled-grid-truncate").layer == "comparator"
+        # Caught before (and without) z3: the point-by-point reference
+        # re-decides every sampled verdict in cross mode.
+        detected, caught_by, diagnostic = get_operator(
+            "sampled-grid-truncate").apply()
+        assert detected, diagnostic
+        assert caught_by == "sample-oracle"
+        assert "holds=False" in diagnostic
+
     @pytest.mark.parametrize("name", ["fm-strict-gap-drop",
-                                      "fm-nonneg-drop"])
+                                      "fm-nonneg-drop",
+                                      "sampled-grid-truncate"])
     def test_fault_does_not_leak(self, name):
         from repro.logic import bexpr
 

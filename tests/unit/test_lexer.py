@@ -65,6 +65,23 @@ class TestNumbers:
     def test_integer_not_float(self):
         assert tokenize("123")[0].kind == "int"
 
+    @pytest.mark.parametrize("text", ["08", "09", "0128", "0779"])
+    def test_bad_octal_digit_is_a_lex_error(self, text):
+        with pytest.raises(LexError, match="octal") as info:
+            tokenize(f"int x = {text};")
+        assert info.value.loc.line == 1
+        assert info.value.loc.column == 9
+
+    @pytest.mark.parametrize("text", ["0x", "0X", "0xg"])
+    def test_hex_prefix_without_digits_is_a_lex_error(self, text):
+        with pytest.raises(LexError, match="hexadecimal") as info:
+            tokenize(f"\n  return {text};")
+        assert info.value.loc.line == 2
+        assert info.value.loc.column == 10
+
+    def test_octal_prefixed_float_is_decimal(self):
+        assert kinds("08.5 09e1") == [("float", 8.5), ("float", 90.0)]
+
 
 class TestCharLiterals:
     def test_plain(self):
