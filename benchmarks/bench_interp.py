@@ -6,7 +6,9 @@ Measures the three hot paths the execution-engine overhaul targets:
   isinstance-chain step loop, the pre-decoded closure engine and the
   per-program generated-Python (codegen) tier — per catalog program;
 * ``frontend``: compiling one generated seed at every campaign ablation
-  point with and without frontend sharing;
+  point with and without frontend sharing, plus the constprop, deadcode
+  and linear (register allocation) milliseconds of a traced shared
+  compile, read from the ``repro.obs`` spans;
 * ``nf_memo``: normal-form memoization hit rate and the bound_le-heavy
   derivation re-check with the memo on/off;
 * ``campaign``: cold 8-seed differential campaign wall-clock, old
@@ -17,7 +19,9 @@ Run standalone to refresh the committed baseline::
 
     PYTHONPATH=src python benchmarks/bench_interp.py [-o BENCH_interp.json]
 
-CI runs the cheap regression gate only::
+CI runs the cheap regression gates only (decoded throughput on
+``mibench/crc32.c`` at least half the committed figure; the shared-frontend
+compile of seed 1 at most twice the committed ``frontend.shared_s``)::
 
     PYTHONPATH=src python benchmarks/bench_interp.py --check-floor
 """
@@ -36,7 +40,7 @@ sys.path.insert(
 
 from repro.asm import machine as machine_mod
 from repro.asm.machine import run_program
-from repro import driver
+from repro import driver, obs
 from repro.driver import compile_c, compile_clight, compile_frontend
 from repro.events.trace import Converges
 from repro.logic import bexpr
@@ -98,31 +102,64 @@ def bench_interpreter() -> dict:
     return out
 
 
+#: The backend passes the ``frontend`` row breaks out, by obs span name.
+FRONTEND_PASS_SPANS = ("compile.rtl.constprop", "compile.rtl.deadcode",
+                       "compile.linear")
+
+
+def _shared_compile(source: str, options: list) -> float:
+    """Seconds to compile ``source`` once per option set, sharing the
+    frontend (the campaign's per-seed compile)."""
+    start = time.perf_counter()
+    clight = compile_frontend(source, filename="seed1.c")
+    for opts in options:
+        compile_clight(clight, options=opts)
+    return time.perf_counter() - start
+
+
+def _pass_ms(source: str, options: list) -> dict:
+    """Per-pass milliseconds of one traced shared compile, from the spans."""
+    obs.enable()
+    obs.reset()
+    try:
+        _shared_compile(source, options)
+        records = obs.drain_spans()
+    finally:
+        obs.disable()
+        obs.reset()
+    return {f"{name.rsplit('.', 1)[1]}_ms":
+            round(sum(r["dur"] for r in records if r["name"] == name) * 1000,
+                  2)
+            for name in FRONTEND_PASS_SPANS}
+
+
 def bench_frontend() -> dict:
     source = generate_program(1)
     options = list(oracles.ABLATIONS.values())
     driver.configure_frontend_cache(False)
 
-    start = time.perf_counter()
-    for opts in options:
-        compile_c(source, filename="seed1.c", options=opts)
-    unshared = time.perf_counter() - start
+    def unshared_compile() -> float:
+        start = time.perf_counter()
+        for opts in options:
+            compile_c(source, filename="seed1.c", options=opts)
+        return time.perf_counter() - start
 
-    start = time.perf_counter()
-    clight = compile_frontend(source, filename="seed1.c")
-    for opts in options:
-        compile_clight(clight, options=opts)
-    shared = time.perf_counter() - start
+    # Best of three, like the --check-floor gate that reads shared_s.
+    unshared = min(unshared_compile() for _ in range(3))
+    shared = min(_shared_compile(source, options) for _ in range(3))
+    passes = _pass_ms(source, options)
     driver.configure_frontend_cache(True)
 
     print(f"  {len(options)} ablations: unshared {unshared * 1000:.0f} ms, "
           f"shared frontend {shared * 1000:.0f} ms "
-          f"({unshared / shared:.1f}x)")
+          f"({unshared / shared:.1f}x); traced passes: "
+          + ", ".join(f"{name} {ms:.0f} ms" for name, ms in passes.items()))
     return {
         "ablations": len(options),
         "unshared_s": round(unshared, 4),
         "shared_s": round(shared, 4),
         "speedup": round(unshared / shared, 2),
+        **passes,
     }
 
 
@@ -212,18 +249,35 @@ def check_floor() -> int:
     floor = baseline["floor_steps_per_s"]
     compilation = compile_c(load_source(FLOOR_PROGRAM),
                             filename=FLOOR_PROGRAM)
-    # Best of three: CI machines are noisy and the gate only needs to
-    # catch real regressions (the floor already has 2x headroom).
+    # Best of three: CI machines are noisy and the gates only need to
+    # catch real regressions (both have 2x headroom).
     best = max(_run_steps_per_s(compilation.asm, "decoded")[0]
                for _ in range(3))
     print(f"decoded throughput on {FLOOR_PROGRAM}: {best:,.0f} steps/s "
           f"(floor {floor:,} steps/s)")
+    failed = 0
     if best < floor:
         print("FAIL: decoded interpreter throughput regressed below the "
               "checked-in floor", file=sys.stderr)
-        return 1
-    print("OK")
-    return 0
+        failed = 1
+
+    source = generate_program(1)
+    options = list(oracles.ABLATIONS.values())
+    driver.configure_frontend_cache(False)
+    try:
+        compile_s = min(_shared_compile(source, options) for _ in range(3))
+    finally:
+        driver.configure_frontend_cache(True)
+    ceiling = 2 * baseline["frontend"]["shared_s"]
+    print(f"shared-frontend compile of seed 1 at {len(options)} ablations: "
+          f"{compile_s * 1000:.0f} ms (ceiling {ceiling * 1000:.0f} ms)")
+    if compile_s > ceiling:
+        print("FAIL: compiling a campaign seed regressed above twice the "
+              "checked-in frontend.shared_s", file=sys.stderr)
+        failed = 1
+    if not failed:
+        print("OK")
+    return failed
 
 
 def main(argv=None) -> int:
@@ -231,8 +285,9 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", default=BASELINE_PATH,
                         help="where to write the JSON baseline")
     parser.add_argument("--check-floor", action="store_true",
-                        help="only verify decoded throughput against the "
-                             "committed floor (CI mode)")
+                        help="only verify decoded throughput and seed "
+                             "compile time against the committed "
+                             "baseline (CI mode)")
     parser.add_argument("--seeds", type=int, default=8,
                         help="campaign size for the cold-campaign bench")
     args = parser.parse_args(argv)

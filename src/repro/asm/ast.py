@@ -335,3 +335,31 @@ class AsmProgram:
         parts = [f".comm {g.name}, {g.size}" for g in self.globals]
         parts.extend(fn.pretty() for fn in self.functions.values())
         return "\n\n".join(parts)
+
+    def canonical_text(self) -> str:
+        """Every field of the program, one unambiguous line per item.
+
+        Unlike :meth:`pretty` (for people) this spells out what the
+        listing elides — global alignments and images, builtin register
+        classes, which addressing mode an operand uses — so two programs
+        with equal text behave identically.  The serving layer hashes it
+        to tie stored generated code to the program it was built for.
+        """
+        lines = [f"main {self.main!r}",
+                 f"externals {sorted(self.externals)!r}"]
+        lines.extend(f"global {g.name!r} {g.size} {g.alignment} "
+                     f"{g.image.hex()}" for g in self.globals)
+        for fn in self.functions.values():
+            lines.append(f"function {fn.name!r} {fn.frame_size}")
+            lines.extend(_canonical(instr) for instr in fn.body)
+        return "\n".join(lines)
+
+
+def _canonical(value) -> str:
+    if isinstance(value, (PInstr, Addr)):
+        fields = ", ".join(_canonical(getattr(value, slot))
+                           for slot in value.__slots__)
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_canonical, value))})"
+    return repr(value)

@@ -1139,10 +1139,11 @@ def install_source(program: asm.AsmProgram, source: str) -> CompiledAsm:
 
     The persistent-artifact fast path: ``compile()`` + ``exec`` of a
     stored generator output, skipping ``_generate`` entirely.  Sound
-    only when ``source`` was generated for a program compiled from the
-    same (source text, compiler options) under the same
-    :data:`CODEGEN_VERSION` — the serving store's key guarantees
-    exactly that, and the backend pipeline is deterministic.  Raises
+    only when ``source`` was generated for this very ``program`` under
+    the same :data:`CODEGEN_VERSION` — the serving store checks both
+    tags (the program by a digest of its canonical text, since a
+    backend change can compile the same source and options to
+    different code) before it calls this.  Raises
     ``ValueError`` when the text does not load as a codegen module; the
     caller treats that as a poisoned artifact and regenerates.
     """

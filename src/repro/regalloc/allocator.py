@@ -97,7 +97,7 @@ def allocate_function(function: rtl.RTLFunction,
             int_slots += 1
         return slot
 
-    for reg in must_spill:
+    for reg in sorted(must_spill):
         mapping[reg] = new_slot(reg in function.float_regs)
 
     # Greedy coloring, most-constrained first.

@@ -19,16 +19,18 @@ from repro import ops
 from repro.errors import DynamicError
 from repro.memory.values import VFloat, VInt, Value
 from repro.rtl import ast as rtl
-from repro.rtl.dataflow import solve_forward
+from repro.rtl.dataflow import (replay_forward, solve_forward,
+                                solve_forward_blocks)
 
 NAC = "NAC"  # not-a-constant (lattice top)
 # Absence from the fact dict means "undefined yet" (lattice bottom).
 
 Fact = dict  # reg -> Value | NAC
 
-#: Use the solver's fused in-place merge (one traversal per edge, no
-#: per-join dict allocation).  The allocate-and-compare join below stays
-#: as the differential oracle; flip this to cross-check fixpoints.
+#: Solve on the block-granular solver (facts only at block entries, one
+#: in-place step per instruction).  The per-node allocate-and-compare
+#: reference solver stays as the differential oracle; flip this to
+#: cross-check fixpoints.
 FUSED_MERGE = True
 
 
@@ -70,21 +72,23 @@ def _merge(old: Fact, new: Fact) -> bool:
 _MISSING = object()
 
 
-def _transfer(_node: int, instr: rtl.Instr, fact: Fact) -> Fact:
+def _step(_node: int, instr: rtl.Instr, fact: Fact) -> None:
+    """The transfer function, applied to ``fact`` in place."""
     if isinstance(instr, rtl.Iop):
-        out = dict(fact)
-        out[instr.dest] = _eval(instr.op, [fact.get(r, NAC) for r in instr.args])
-        return out
-    if isinstance(instr, rtl.Iload):
-        out = dict(fact)
-        out[instr.dest] = NAC
-        return out
-    if isinstance(instr, rtl.Icall):
-        out = dict(fact)
-        if instr.dest is not None:
-            out[instr.dest] = NAC
-        return out
-    return fact
+        fact[instr.dest] = _eval(instr.op,
+                                 [fact.get(r, NAC) for r in instr.args])
+    elif isinstance(instr, rtl.Iload):
+        fact[instr.dest] = NAC
+    elif isinstance(instr, rtl.Icall) and instr.dest is not None:
+        fact[instr.dest] = NAC
+
+
+def _transfer(node: int, instr: rtl.Instr, fact: Fact) -> Fact:
+    if not instr.defs():
+        return fact
+    out = dict(fact)
+    _step(node, instr, out)
+    return out
 
 
 def _eval(op: tuple, args: list):
@@ -116,15 +120,17 @@ def constprop(function: rtl.RTLFunction) -> int:
     # absent would make them lattice bottom and licence bogus folding).
     entry_fact = {param: NAC for param in function.params}
     if FUSED_MERGE:
-        facts = solve_forward(function, entry_fact, _join, _transfer,
-                              _equal, merge=_merge, copy=dict)
+        blocks, facts = solve_forward_blocks(function, entry_fact, _step,
+                                             _merge, dict)
+        before = replay_forward(function, blocks, facts, _step)
     else:
         facts = solve_forward(function, entry_fact, _join, _transfer, _equal)
+        # Unreachable nodes have no fact and are left alone.
+        before = ((node, instr, facts[node])
+                  for node, instr in list(function.graph.items())
+                  if node in facts)
     changed = 0
-    for node, instr in list(function.graph.items()):
-        fact = facts.get(node)
-        if fact is None:
-            continue  # unreachable
+    for node, instr, fact in before:
         new_instr = _rewrite(instr, fact)
         if new_instr is not None:
             function.graph[node] = new_instr

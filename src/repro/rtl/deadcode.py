@@ -16,24 +16,26 @@ the register allocator.
 from __future__ import annotations
 
 from repro.rtl import ast as rtl
-from repro.rtl.liveness import has_side_effect, liveness
+from repro.rtl.liveness import has_side_effect, live_after_each
 
 
 def deadcode(function: rtl.RTLFunction) -> int:
-    """Rewrite in place; returns number of instructions removed."""
+    """Rewrite in place; returns number of instructions removed.
+
+    One liveness solve suffices.  The faint-variable transfer already
+    treats a pure instruction with dead destinations as a nop, so
+    turning those instructions into ``Inop`` leaves the liveness
+    equations' least fixpoint unchanged: a second solve would find
+    nothing more to remove.
+    """
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        live = liveness(function)
-        for node, instr in list(function.graph.items()):
-            if isinstance(instr, (rtl.Inop,)) or has_side_effect(instr):
-                continue
-            defs = instr.defs()
-            if defs and not any(d in live.get(node, frozenset()) for d in defs):
-                function.graph[node] = rtl.Inop(instr.successors()[0])
-                removed += 1
-                changed = True
+    for node, instr, live in live_after_each(function):
+        if isinstance(instr, rtl.Inop) or has_side_effect(instr):
+            continue
+        defs = instr.defs()
+        if defs and not any(d in live for d in defs):
+            function.graph[node] = rtl.Inop(instr.successors()[0])
+            removed += 1
     _prune_unreachable(function)
     return removed
 

@@ -7,8 +7,10 @@ allocator's interference construction.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.rtl import ast as rtl
-from repro.rtl.dataflow import solve_backward
+from repro.rtl.dataflow import Step, replay_backward, solve_backward_blocks
 
 Fact = frozenset
 
@@ -18,46 +20,59 @@ def has_side_effect(instr: rtl.Instr) -> bool:
     return isinstance(instr, (rtl.Istore, rtl.Icall, rtl.Ireturn, rtl.Icond))
 
 
-def _make_transfer(conservative: bool):
-    def transfer(_node: int, instr: rtl.Instr, live_out: Fact) -> Fact:
-        live = set(live_out)
-        defs = instr.defs()
-        # A pure instruction whose destination is dead contributes no
-        # uses: its operands need not stay live (this is what lets DCE
-        # cascade).  The conservative variant — used by the register
-        # allocator, which must stay correct even when dead instructions
-        # are left in the code — keeps such uses live.
-        if not conservative and defs and not has_side_effect(instr) \
-                and not any(d in live_out for d in defs):
-            return frozenset(live - set(defs))
-        for d in defs:
-            live.discard(d)
-        live.update(instr.uses())
-        return frozenset(live)
+def _faint_step(node: int, instr: rtl.Instr, live: set) -> None:
+    """Live-after to live-before, in place.
 
-    return transfer
+    A pure instruction whose destination is dead contributes no uses: its
+    operands need not stay live (this is what lets DCE cascade).
+    """
+    defs = instr.defs()
+    if defs and not has_side_effect(instr) \
+            and not any(d in live for d in defs):
+        return  # its destinations are not in ``live`` to begin with
+    _conservative_step(node, instr, live)
 
 
-def _merge_sets(old: set, new: Fact) -> bool:
+def _conservative_step(_node: int, instr: rtl.Instr, live: set) -> None:
+    """The register allocator's transfer, which must stay correct even
+    when dead instructions are left in the code: uses are always live."""
+    live.difference_update(instr.defs())
+    live.update(instr.uses())
+
+
+def _merge_sets(old: set, new: set) -> bool:
     size = len(old)
     old |= new
     return len(old) != size
 
 
+def _step_for(conservative: bool) -> Step:
+    return _conservative_step if conservative else _faint_step
+
+
+def live_after_each(function: rtl.RTLFunction, conservative: bool = False
+                    ) -> Iterator[tuple[int, rtl.Instr, set]]:
+    """Yield ``(node, instr, registers live after node)`` for every node.
+
+    Liveness is solved once, per block; each block is then replayed
+    backward with one set updated in place, so a consumer that keeps a
+    set must copy it.
+    """
+    step = _step_for(conservative)
+    blocks, after = solve_backward_blocks(function, set(), step,
+                                          _merge_sets, set)
+    return replay_backward(function, blocks, after, step)
+
+
 def liveness(function: rtl.RTLFunction,
              conservative: bool = False) -> dict[int, Fact]:
-    """Map node -> registers live after the node.
-
-    Uses the solver's fused path: the live-out facts are grown in place
-    (plain sets), so consumers get sets rather than frozensets — they only
-    test membership and iterate, and a union per edge replaces the
-    allocate-then-compare round trip.
-    """
-    return solve_backward(function, frozenset(), lambda a, b: a | b,
-                          _make_transfer(conservative), lambda a, b: a == b,
-                          merge=_merge_sets, copy=set)
+    """Map node -> registers live after the node."""
+    return {node: frozenset(live) for node, _instr, live
+            in live_after_each(function, conservative)}
 
 
 def live_before(instr: rtl.Instr, live_out: Fact,
                 conservative: bool = False) -> Fact:
-    return _make_transfer(conservative)(0, instr, live_out)
+    live = set(live_out)
+    _step_for(conservative)(0, instr, live)
+    return frozenset(live)

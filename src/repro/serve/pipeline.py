@@ -18,9 +18,10 @@ source, different backend flags) misses only ``backend``.  A fifth slot,
 ``codegen``, is not a pipeline stage but the *persistent artifact* of
 the probe path: the generated Python source of the codegen execution
 tier, keyed like ``backend`` and tagged with the generator's
-``CODEGEN_VERSION`` — a restarted daemon (or a sibling pool worker)
-``compile()``s the stored source instead of regenerating it, and a
-stale-version or hash-mismatched artifact is dropped and regenerated,
+``CODEGEN_VERSION`` and a digest of the ASM program it was generated
+for — a restarted daemon (or a sibling pool worker) ``compile()``s the
+stored source instead of regenerating it, and a stale-version,
+other-program or hash-mismatched artifact is dropped and regenerated,
 never executed.  The analyze
 stage stores the *certificate* — the paper's independently re-checkable
 artifact — and the check stage is literally ``load_certificate`` run
@@ -79,8 +80,9 @@ class ServeRequest:
         ``codegen`` is the persistent-artifact slot for the generated
         Python source of the compiled program — keyed like the backend
         stage (source × options) because the generator's input is the
-        backend's output; the artifact's ``CODEGEN_VERSION`` tag lives
-        in the payload and is checked on load.
+        backend's output; the artifact's ``CODEGEN_VERSION`` tag and
+        the digest of the ASM program it was generated for live in the
+        payload and are checked on load.
         """
         src = source_digest(self.source, self.macros)
         opt = options_digest(self.options)
@@ -155,16 +157,24 @@ def reset_warm() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_codegen_artifact(store: ResultStore, key: str) -> Optional[str]:
+def _asm_digest(asm_program: Any) -> str:
+    return hashlib.sha256(asm_program.canonical_text().encode()).hexdigest()
+
+
+def _load_codegen_artifact(store: ResultStore, key: str,
+                           asm_program: Any) -> Optional[str]:
     """The validated generated source stored under ``key``, or ``None``.
 
-    Two payload-level checks on top of the store's wire integrity, both
+    Three payload-level checks on top of the store's wire integrity, all
     with the store's poison-drop discipline (an invalid artifact is
     dropped and counted, never returned):
 
     * ``codegen_version`` must equal the *current* generator's
       :data:`~repro.asm.codegen.CODEGEN_VERSION` — an artifact from an
       older generator is recompiled, never executed;
+    * ``asm_sha256`` must match ``asm_program``'s canonical text — the
+      key names only source × options, so code generated by a backend
+      that compiled them differently is recompiled, never executed;
     * ``sha256`` must match the source text — a truncated or edited
       source never reaches ``exec``.
     """
@@ -176,6 +186,7 @@ def _load_codegen_artifact(store: ResultStore, key: str) -> Optional[str]:
     source = payload.get("source") if isinstance(payload, dict) else None
     if (not isinstance(payload, dict) or not isinstance(source, str)
             or payload.get("codegen_version") != CODEGEN_VERSION
+            or payload.get("asm_sha256") != _asm_digest(asm_program)
             or payload.get("sha256")
             != hashlib.sha256(source.encode()).hexdigest()):
         store.discard(key)
@@ -184,12 +195,13 @@ def _load_codegen_artifact(store: ResultStore, key: str) -> Optional[str]:
     return source
 
 
-def _store_codegen_artifact(store: ResultStore, key: str,
-                            source: str) -> None:
+def _store_codegen_artifact(store: ResultStore, key: str, source: str,
+                            asm_program: Any) -> None:
     from repro.asm.codegen import CODEGEN_VERSION
 
     store.put(key, {
         "codegen_version": CODEGEN_VERSION,
+        "asm_sha256": _asm_digest(asm_program),
         "sha256": hashlib.sha256(source.encode()).hexdigest(),
         "source": source})
 
@@ -210,7 +222,7 @@ def _ensure_codegen(asm_program: Any, store: ResultStore,
         how = "warm"
     else:
         how = "generated"
-        source = _load_codegen_artifact(store, key)
+        source = _load_codegen_artifact(store, key, asm_program)
         if source is not None:
             try:
                 asm_codegen.install_source(asm_program, source)
@@ -224,7 +236,8 @@ def _ensure_codegen(asm_program: Any, store: ResultStore,
             asm_codegen.codegen_program(asm_program)
     if key not in store:
         _store_codegen_artifact(
-            store, key, asm_codegen.codegen_program(asm_program).source)
+            store, key, asm_codegen.codegen_program(asm_program).source,
+            asm_program)
     return how
 
 

@@ -20,6 +20,7 @@ from repro.regalloc import (FLOAT_REGS, INT_REGS, LFReg, LReg, LSlot,
                             allocate_function)
 from repro.rtl import ast as rtl
 from repro.rtl.constprop import constprop, constprop_program
+from repro.rtl.cse import cse_program
 from repro.rtl.deadcode import deadcode
 from repro.rtl.liveness import liveness
 from repro.rtl.lower import rtl_of_cminor
@@ -267,6 +268,31 @@ class TestRegalloc:
                 assert loc.name in INT_REGS
             if isinstance(loc, LFReg):
                 assert loc.name in FLOAT_REGS
+
+    def test_allocation_ignores_live_set_insertion_order(self, monkeypatch):
+        """Slot numbers depend on the live-out sets' contents only."""
+        from repro.regalloc import allocator
+        from repro.testing.progen import generate_program
+
+        def reversed_liveness(function, conservative=False):
+            # Same sets, each rebuilt in reversed insertion order: equal
+            # contents, possibly a different iteration order.
+            return {node: set(reversed(list(live))) for node, live
+                    in liveness(function, conservative).items()}
+
+        for seed in range(8):
+            program = to_rtl(generate_program(seed))
+            constprop_program(program)
+            # CSE's longer live ranges put many registers across calls.
+            cse_program(program)
+            for function in program.functions.values():
+                deadcode(function)
+                expected = allocate_function(function)
+                with monkeypatch.context() as patch:
+                    patch.setattr(allocator, "liveness", reversed_liveness)
+                    rebuilt = allocate_function(function)
+                assert repr(rebuilt.mapping) == repr(expected.mapping), \
+                    (seed, function.name)
 
 
 class TestLinearAndMach:

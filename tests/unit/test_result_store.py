@@ -172,6 +172,48 @@ class TestPoisonDetection:
         assert _counter("store.poisoned") == 1
 
 
+class TestCodegenArtifact:
+    """Stored generated code runs only on the ASM program it was made for."""
+
+    SOURCE = ("int leaf(int x) { int a[6]; a[x % 6] = x; return a[0]; }\n"
+              "int main(void) { return leaf(4); }\n")
+
+    def test_artifact_for_another_program_is_regenerated(self, metrics,
+                                                        monkeypatch):
+        from repro.asm import codegen
+        from repro.serve.pipeline import reset_warm
+
+        store = ResultStore()
+        request = ServeRequest(self.SOURCE, probe=True)
+        baseline = run_pipeline(request, store)
+        # Code generated for a different ASM program of the same source
+        # and options, with valid version and source tags: what a daemon
+        # whose backend compiled them differently would have persisted.
+        other = ServeRequest(self.SOURCE, probe=True,
+                             options=CompilerOptions(spill_everything=True))
+        run_pipeline(other, store)
+        foreign = store.get(other.keys()["codegen"])
+        key = request.keys()["codegen"]
+        assert foreign["source"] != store.get(key)["source"]
+        store.put(key, foreign)
+
+        installed = []
+        monkeypatch.setattr(codegen, "install_source",
+                            lambda program, source: installed.append(source))
+        reset_warm()   # a restarted daemon has no warm programs
+        response = run_pipeline(request, store)
+
+        assert installed == []
+        assert response["probe"]["codegen"] == "generated"
+        assert response["probe"]["converged"]
+        assert response["probe"]["measured_bytes"] \
+            == baseline["probe"]["measured_bytes"]
+        assert _counter("serve.codegen.artifact.stale") == 1
+        replacement = store.get(key)
+        assert replacement["asm_sha256"] != foreign["asm_sha256"]
+        assert replacement["source"] != foreign["source"]
+
+
 class TestEviction:
     """Size-capped, pin-aware, oldest-first."""
 
