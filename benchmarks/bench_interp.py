@@ -212,7 +212,8 @@ def bench_campaign(seeds: range = range(8)) -> dict:
     # "Old" configuration: legacy step loop, reference dataflow solver,
     # no bounds memoization, and a frontend re-run per ablation point
     # (what compile_c-per-ablation did before the shared frontend).
-    machine_mod.DEFAULT_DECODED = False
+    saved_engine = machine_mod.DEFAULT_ENGINE
+    machine_mod.DEFAULT_ENGINE = "legacy"
     constprop.FUSED_MERGE = False
     bexpr.configure_memoization(False)
     driver.configure_frontend_cache(False)
@@ -227,7 +228,7 @@ def bench_campaign(seeds: range = range(8)) -> dict:
     finally:
         oracles.compile_frontend = saved_frontend
         oracles.compile_clight = saved_backend
-        machine_mod.DEFAULT_DECODED = True
+        machine_mod.DEFAULT_ENGINE = saved_engine
         constprop.FUSED_MERGE = True
         bexpr.configure_memoization(True)
         driver.configure_frontend_cache(True)

@@ -1,8 +1,8 @@
-"""Whole-tower semantics benchmarks: all three execution tiers.
+"""Whole-tower semantics benchmarks: both execution tiers per level.
 
-Measures steps/sec of the per-program generated-Python (codegen)
-drivers and the pre-decoded threaded-code engines against the legacy
-``step()`` machines for each semantic level the tower interprets:
+Measures steps/sec of the pre-decoded threaded-code engines against the
+legacy ``step()`` machines for each semantic level the tower interprets
+(only ASMsz has a codegen tier; ``bench_codegen.py`` measures it):
 
 * ``clight``: the full runnable catalog, interleaved best-of-N per
   engine, with the geometric-mean speedup (the acceptance number for
@@ -83,31 +83,25 @@ def _bench_level(level, programs, repeats):
     for path in programs:
         compilation = compile_c(load_source(path), filename=path)
         program = getattr(compilation, attr)
-        # Interleave the engines so cache/frequency drift hits all three.
-        best_legacy = best_decoded = best_codegen = 0.0
+        # Interleave the engines so cache/frequency drift hits both.
+        best_legacy = best_decoded = 0.0
         steps = 0
         for _ in range(repeats):
             legacy, steps = _steps_per_s(sem, program, fuel, "legacy")
             decoded, _ = _steps_per_s(sem, program, fuel, "decoded")
-            codegen, _ = _steps_per_s(sem, program, fuel, "codegen")
             best_legacy = max(best_legacy, legacy)
             best_decoded = max(best_decoded, decoded)
-            best_codegen = max(best_codegen, codegen)
         speedup = best_decoded / best_legacy
         ratios.append(speedup)
         out[path] = {
             "steps": steps,
             "legacy_steps_per_s": round(best_legacy),
             "decoded_steps_per_s": round(best_decoded),
-            "codegen_steps_per_s": round(best_codegen),
             "speedup": round(speedup, 2),
-            "codegen_vs_decoded": round(best_codegen / best_decoded, 2),
-            "codegen_vs_legacy": round(best_codegen / best_legacy, 2),
         }
         print(f"  {path:28s} {steps:>9d} steps  "
               f"legacy {best_legacy:>10,.0f}/s  "
-              f"decoded {best_decoded:>10,.0f}/s  "
-              f"codegen {best_codegen:>10,.0f}/s  {speedup:.2f}x")
+              f"decoded {best_decoded:>10,.0f}/s  {speedup:.2f}x")
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     out["geomean_speedup"] = round(geomean, 2)
     print(f"  {level} geomean speedup: {geomean:.2f}x "
@@ -161,9 +155,15 @@ def main(argv=None) -> int:
     print("mach: decoded vs legacy steps/sec")
     results["mach"] = _bench_level("mach", DEEP_PROGRAMS, args.repeats)
 
-    floor_decoded = results["clight"][FLOOR_PROGRAM]["decoded_steps_per_s"]
+    # The floor is recorded once (decoded throughput with 2x headroom)
+    # and carried over on refresh, so re-running on a slower host never
+    # loosens the CI gate; delete the key to re-record it deliberately.
+    floor = results["clight"][FLOOR_PROGRAM]["decoded_steps_per_s"] // 2
+    if os.path.exists(args.output):
+        with open(args.output) as handle:
+            floor = json.load(handle).get("floor_clight_steps_per_s", floor)
     results["floor_program"] = FLOOR_PROGRAM
-    results["floor_clight_steps_per_s"] = floor_decoded // 2  # 2x headroom
+    results["floor_clight_steps_per_s"] = floor
 
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

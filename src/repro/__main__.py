@@ -28,6 +28,7 @@ import sys
 
 from repro import obs
 from repro.analyzer import StackAnalyzer
+from repro.asm import machine as asm_machine
 from repro.driver import CompilerOptions, compile_c
 from repro.errors import ReproError
 from repro.events.trace import Converges
@@ -84,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stack", type=int, default=None, metavar="BYTES",
                      help="stack size sz (default: the verified bound)")
     run.add_argument("--fuel", type=int, default=200_000_000)
-    run.add_argument("--engine", default=None,
-                     choices=["legacy", "decoded", "codegen"],
-                     help="force an execution tier (default: codegen; "
-                          "legacy and decoded stay as oracles)")
+    run.add_argument("--engine", default=None, choices=asm_machine.ENGINES,
+                     help="force an execution tier (default: "
+                          f"{asm_machine.DEFAULT_ENGINE}; the others stay "
+                          "as oracles)")
 
     dump = add_common(sub.add_parser(
         "dump", help="print an intermediate representation"))
@@ -399,17 +400,15 @@ def cmd_profile(args) -> int:
     sz = analysis.bound_bytes(compilation.asm.main, compilation.metric)
     analysis.check()
 
-    tiers = ["legacy", "decoded", "codegen"]
-    for tier in tiers:
+    for tier in asm_machine.ENGINES:
         compilation.run(stack_bytes=sz + 4, fuel=args.fuel, engine=tier)
 
     # Per-language interpreter throughput: the same tower levels the
     # deep campaign mode executes, on their streaming entry points.
-    levels = [("clight", clight_sem, compilation.clight),
-              ("rtl", rtl_sem, compilation.rtl),
-              ("mach", mach_sem, compilation.mach)]
-    for _level, sem, program in levels:
-        for tier in tiers:
+    levels = [(clight_sem, compilation.clight), (rtl_sem, compilation.rtl),
+              (mach_sem, compilation.mach)]
+    for sem, program in levels:
+        for tier in sem.ENGINES:
             sem.run_streamed(program, null_sink, fuel=args.fuel,
                              engine=tier)
 
@@ -421,7 +420,7 @@ def cmd_profile(args) -> int:
 
 
 def _print_tier_table(records: list[dict]) -> None:
-    """Per-language throughput of the three tiers, from the span tree.
+    """Per-language throughput of each level's tiers, from the span tree.
 
     Every ``exec.*`` span carries ``engine`` and ``steps`` attrs; the
     table is a pure rendering of those records — there is no second
@@ -441,18 +440,20 @@ def _print_tier_table(records: list[dict]) -> None:
     if not rates:
         return
     print()
-    print(f"{'level':10s} {'legacy':>14s} {'decoded':>14s} "
-          f"{'codegen':>14s}   speedup vs legacy")
+    tiers = asm_machine.ENGINES
+    print(f"{'level':10s} "
+          + " ".join(f"{tier:>14s}" for tier in tiers)
+          + "   speedup vs legacy")
     for level in ("clight", "rtl", "mach", "asm"):
         row = rates.get(level)
         if not row:
             continue
         cells = [f"{row[e]:>14,.0f}" if e in row else f"{'—':>14s}"
-                 for e in ("legacy", "decoded", "codegen")]
+                 for e in tiers]
         legacy = row.get("legacy")
         ratios = "  ".join(
             f"{e}×{row[e] / legacy:.1f}"
-            for e in ("decoded", "codegen") if e in row and legacy)
+            for e in tiers[1:] if e in row and legacy)
         print(f"{level:10s} {' '.join(cells)}   {ratios}")
 
 

@@ -27,7 +27,7 @@ construction: same events, same outputs, same ESP watermark, same
 overflow point, and byte-identical error messages — the differential
 suite in ``tests/unit/test_asm_decode.py`` checks this over the whole
 program catalog, and the legacy loop stays available behind
-``AsmMachine(..., decoded=False)`` as the oracle.
+``AsmMachine(..., engine="legacy")`` as the oracle.
 """
 
 from __future__ import annotations
@@ -963,7 +963,7 @@ def bind_machine(machine) -> None:
 
 
 def run_decoded(machine, fuel: int) -> Behavior:
-    """Run a ``decoded=True`` machine to a behavior (legacy-equivalent)."""
+    """Run a decoded-engine machine to a behavior (legacy-equivalent)."""
     trace: list = []
     machine._trace = trace
     steps = 0

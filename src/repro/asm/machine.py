@@ -43,16 +43,14 @@ DEFAULT_STACK_BYTES = 1 << 20
 DEFAULT_ARENA_BYTES = 1 << 20
 DEFAULT_FUEL = 50_000_000
 
-#: Engine selected when ``AsmMachine(..., decoded=None)``: the pre-decoded
-#: threaded-code interpreter (:mod:`repro.asm.decode`).  Benchmarks flip
-#: this module-wide to measure the legacy step loop without re-plumbing
-#: every call site.
-DEFAULT_DECODED = True
+#: Execution tiers: the step loop below, the pre-decoded threaded-code
+#: interpreter (:mod:`repro.asm.decode`), and per-program specialized
+#: Python (:mod:`repro.asm.codegen`).  Legacy and decoded stay as the
+#: differential oracles of the tier above them.
+ENGINES = ("legacy", "decoded", "codegen")
 
-#: The tier used when decoding is enabled at all (``DEFAULT_DECODED`` is
-#: the kill switch back to the legacy loop): ``"codegen"`` compiles each
-#: program to specialized Python (:mod:`repro.asm.codegen`); ``"decoded"``
-#: is the threaded-code interpreter kept as a differential oracle.
+#: Tier used when a call passes no ``engine=``.  Benchmarks set this
+#: module-wide (e.g. to ``"legacy"``) without re-plumbing call sites.
 DEFAULT_ENGINE = "codegen"
 
 _INT_BINOPS = {
@@ -83,16 +81,12 @@ class AsmMachine:
                  stack_bytes: int = DEFAULT_STACK_BYTES,
                  arena_bytes: int = DEFAULT_ARENA_BYTES,
                  output: Optional[list] = None,
-                 decoded: Optional[bool] = None,
                  engine: Optional[str] = None) -> None:
         from repro import engines
         self.program = program
         self.output = output
-        engine = engines.resolve(DEFAULT_DECODED, DEFAULT_ENGINE,
-                                 decoded, engine)
+        engine = engines.resolve(engine, DEFAULT_ENGINE, ENGINES)
         self.engine = engine
-        self.decoded = engine != "legacy"
-        decoded = self.decoded
 
         # Global layout.
         self.global_addr: dict[str, int] = {}
@@ -121,7 +115,7 @@ class AsmMachine:
         # Register file.  The decoded engine uses index-based lists (with
         # a dict-like name view so ``machine.iregs["eax"]`` keeps working);
         # the legacy engine keeps the original string-keyed dicts.
-        if decoded:
+        if engine != "legacy":
             from repro.asm.decode import (FREG_INDEX, IREG_INDEX,
                                           RegisterFile, bind_machine)
             self.iregs = RegisterFile(IREG_INDEX, 0)
@@ -447,17 +441,15 @@ def run_program(program: asm.AsmProgram,
                 stack_bytes: int = DEFAULT_STACK_BYTES,
                 fuel: int = DEFAULT_FUEL,
                 output: Optional[list] = None,
-                decoded: Optional[bool] = None,
                 engine: Optional[str] = None
                 ) -> tuple[Behavior, AsmMachine]:
     """Run on ASMsz; returns the behavior and the machine (for the monitor).
 
-    ``engine`` selects the tier (``"legacy"``/``"decoded"``/``"codegen"``;
-    None defers to ``decoded`` and then the module defaults); ``decoded``
-    is the older boolean selector, kept for existing call sites.
+    ``engine`` selects the tier, one of :data:`ENGINES` (None =
+    :data:`DEFAULT_ENGINE`).
     """
     machine = AsmMachine(program, stack_bytes=stack_bytes, output=output,
-                         decoded=decoded, engine=engine)
+                         engine=engine)
     if obs.enabled:
         # One span per run, wrapped around the whole loop: the hot path
         # itself carries zero added per-step work, enabled or not.
@@ -482,7 +474,7 @@ def _execute(machine: AsmMachine, fuel: int) -> Behavior:
         from repro.asm.codegen import run_codegen
 
         return run_codegen(machine, fuel=fuel)
-    if machine.decoded:
+    if machine.engine == "decoded":
         from repro.asm.decode import run_decoded
 
         return run_decoded(machine, fuel=fuel)

@@ -30,7 +30,7 @@ identical block ids inside error messages), and byte-identical error
 messages.  ``tests/unit/test_sem_decode.py`` checks agreement on traces,
 outputs, return codes, failure reasons and step counts over the program
 catalog and generated seeds at every ablation; the legacy loop stays
-available behind ``run_program(..., decoded=False)`` as the oracle.
+available behind ``run_program(..., engine="legacy")`` as the oracle.
 """
 
 from __future__ import annotations

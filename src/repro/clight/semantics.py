@@ -30,17 +30,13 @@ from repro.runtime import call_external
 
 DEFAULT_FUEL = 2_000_000
 
-#: Default execution engine: the pre-decoded closure interpreter in
-#: :mod:`repro.clight.decode`.  Flip to False (or pass ``decoded=False``)
-#: to run this module's legacy statement-tree step loop, which stays as
-#: the differential oracle.
-DEFAULT_DECODED = True
+#: Execution tiers: this module's statement-tree step loop (kept as the
+#: differential oracle) and the pre-decoded closure interpreter in
+#: :mod:`repro.clight.decode`.
+ENGINES = ("legacy", "decoded")
 
-#: Tier used when decoding is enabled at all: ``"codegen"`` (the
-#: per-program specialized driver) or ``"decoded"``.  Per-call
-#: ``engine=`` arguments override; ``DEFAULT_DECODED = False`` still
-#: forces the legacy loop everywhere (the old kill switch).
-DEFAULT_ENGINE = "codegen"
+#: Tier used when a call passes no ``engine=``.
+DEFAULT_ENGINE = "decoded"
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +349,16 @@ class ClightMachine:
 
 def run_streamed(program: cl.Program, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
-                 decoded: Optional[bool] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
     """Run ``program``, pushing every event into ``sink`` as it is emitted.
 
     This is the streaming entry point: consumers (pruned-trace matchers,
     weight folds, plain ``list.append``) see the events without the
-    interpreter materializing a trace.  ``decoded`` selects the engine
-    (None = :data:`DEFAULT_DECODED`); both engines produce the same
+    interpreter materializing a trace.  ``engine`` selects the tier
+    (None = :data:`DEFAULT_ENGINE`); both engines produce the same
     events, outcome classification and step counts by construction.
     """
-    engine = engines.resolve(DEFAULT_DECODED, DEFAULT_ENGINE,
-                             decoded, engine)
+    engine = engines.resolve(engine, DEFAULT_ENGINE, ENGINES)
     if obs.enabled:
         # Wrapped at the entry point only — the step loops stay untouched.
         with obs.span("exec.clight", engine=engine) as sp:
@@ -374,19 +368,12 @@ def run_streamed(program: cl.Program, sink: Consumer,
         obs.add("interp.clight.steps", outcome.steps)
         obs.add("interp.clight.seconds", sp.dur)
         obs.add("interp.clight.runs")
-        if engine == "codegen":
-            obs.add("interp.codegen.steps", outcome.steps)
-            obs.add("interp.codegen.seconds", sp.dur)
-            obs.add("interp.codegen.runs")
         return outcome
     return _run_streamed(program, sink, fuel, output, engine)
 
 
 def _run_streamed(program: cl.Program, sink: Consumer, fuel: int,
                   output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "codegen":
-        from repro.clight import codegen
-        return codegen.run_streamed(program, sink, fuel, output=output)
     if engine == "decoded":
         from repro.clight import decode
         return decode.run_streamed(program, sink, fuel, output=output)
@@ -421,12 +408,11 @@ def _run_streamed(program: cl.Program, sink: Consumer, fuel: int,
 
 def run_program(program: cl.Program, fuel: int = DEFAULT_FUEL,
                 output: Optional[list] = None,
-                decoded: Optional[bool] = None,
                 engine: Optional[str] = None) -> Behavior:
     """Run ``program`` from ``main`` and classify the result as a behavior."""
     trace: list[Event] = []
     outcome = run_streamed(program, trace.append, fuel, output=output,
-                           decoded=decoded, engine=engine)
+                           engine=engine)
     return outcome.to_behavior(trace)
 
 

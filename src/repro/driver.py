@@ -39,7 +39,7 @@ from repro.c.typecheck import typecheck
 from repro.clight import ast as cl
 from repro.clight.from_c import clight_of_program
 from repro.cminor import CminorProgram, cminor_of_clight
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, UnsupportedFeatureError
 from repro.events.metrics import StackMetric
 from repro.events.trace import Behavior
 from repro.linear import LinearProgram, linear_of_rtl
@@ -126,17 +126,14 @@ class Compilation:
     def run(self, stack_bytes: int = 1 << 20,
             output: Optional[list] = None,
             fuel: int = DEFAULT_FUEL,
-            decoded: Optional[bool] = None,
             engine: Optional[str] = None) -> tuple[Behavior, AsmMachine]:
         """Execute the compiled program on ASMsz.
 
-        ``engine`` selects the execution tier
-        (``"legacy"``/``"decoded"``/``"codegen"``); ``decoded`` is the
-        older boolean selector — both default to the module defaults in
-        :mod:`repro.asm.machine`.
+        ``engine`` selects the execution tier (None = the default of
+        :mod:`repro.asm.machine`).
         """
         return run_asm(self.asm, stack_bytes=stack_bytes, output=output,
-                       fuel=fuel, decoded=decoded, engine=engine)
+                       fuel=fuel, engine=engine)
 
 
 def compile_clight(clight: cl.Program,
@@ -205,12 +202,21 @@ def compile_frontend(source: str, filename: str = "<string>",
             return cached
     with obs.span("compile.frontend", filename=filename) as sp:
         obs.add("frontend.cache.misses")
-        with obs.span("compile.parse"):
-            program = parse(source, filename, macros)
-        with obs.span("compile.typecheck"):
-            env = typecheck(program)
-        with obs.span("compile.clight"):
-            clight = clight_of_program(program, env)
+        try:
+            with obs.span("compile.parse"):
+                program = parse(source, filename, macros)
+            with obs.span("compile.typecheck"):
+                env = typecheck(program)
+            with obs.span("compile.clight"):
+                clight = clight_of_program(program, env)
+        except RecursionError:
+            # Every front-end pass recurses over the syntax tree, so
+            # nesting past the interpreter's recursion limit (deeply
+            # parenthesized or very long binary expressions) is outside
+            # the supported subset: one diagnosis here covers them all.
+            raise UnsupportedFeatureError(
+                f"{filename}: expression or statement nesting too deep "
+                "for the front end") from None
         sp.set(functions=len(clight.functions))
     if _frontend_cache_enabled:
         if len(_frontend_cache) >= _FRONTEND_CACHE_SIZE:

@@ -41,8 +41,8 @@ from repro.runtime import call_external
 class DecodedMachFunction:
     """Per-function decode result (two-phase: created, then filled)."""
 
-    __slots__ = ("name", "entry", "frame_size", "frame_tag", "no_frame_msg",
-                 "slots", "call_event", "ret_event")
+    __slots__ = ("name", "entry", "code", "frame_size", "frame_tag",
+                 "no_frame_msg", "slots", "call_event", "ret_event")
 
     def __init__(self, function: mach.MachFunction) -> None:
         self.name = function.name
@@ -53,6 +53,7 @@ class DecodedMachFunction:
         self.call_event = CallEvent(function.name)
         self.ret_event = ReturnEvent(function.name)
         self.entry: Callable = None  # filled by decode_program
+        self.code: list = []
 
 
 class DecodedMachProgram:
@@ -76,6 +77,14 @@ class DecodedMachProgram:
             slot = len(self.reg_index)
             self.reg_index[name] = slot
         return slot
+
+    def release(self) -> None:
+        """Break the closure <-> code-list cycles of a finished run, so
+        the (uncached) decode is freed by reference counting instead of
+        by the cyclic GC; see ``repro.rtl.decode``'s twin method."""
+        for frec in self.functions.values():
+            frec.code.clear()
+            frec.entry = None
 
 
 def _decode_read(loc, frec: DecodedMachFunction, dprog: DecodedMachProgram):
@@ -445,6 +454,7 @@ def _decode_function(function: mach.MachFunction, program: mach.MachProgram,
                 raise DynamicError(f"unknown Mach instruction {detail}")
             code[index] = unknown
     frec.entry = code[0]
+    frec.code = code
 
 
 def _raise_key(key):
@@ -685,6 +695,8 @@ def run_streamed(program: mach.MachProgram, sink: Consumer,
         # special case — it classifies as GoesWrong.
         return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
                              events=counting.count, steps=i)
+    finally:
+        dprog.release()
     if not m.done:
         return StreamOutcome(StreamOutcome.DIVERGES,
                              events=counting.count, steps=i)

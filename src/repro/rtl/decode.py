@@ -15,7 +15,8 @@ error-for-error identical fallback).
 The RTL optimization passes rewrite function graphs *in place*, so —
 unlike the Clight decoder — decode results are NOT cached on the
 program: :func:`run_streamed` decodes afresh, which is O(instructions)
-and negligible next to any actual run.
+and negligible next to any actual run, and releases the decode when the
+run ends (:meth:`DecodedRTLProgram.release`).
 
 Observable equivalence with the legacy machine: one closure call per
 legacy ``step()``, events in the same order (one shared
@@ -45,8 +46,8 @@ from repro.runtime import call_external
 class DecodedRTLFunction:
     """Per-function decode result (two-phase: created, then filled)."""
 
-    __slots__ = ("name", "entry", "n_regs", "param_slots", "stacksize",
-                 "frame_tag", "call_event", "ret_event")
+    __slots__ = ("name", "entry", "code", "n_regs", "param_slots",
+                 "stacksize", "frame_tag", "call_event", "ret_event")
 
     def __init__(self, function: rtl.RTLFunction) -> None:
         self.name = function.name
@@ -56,6 +57,7 @@ class DecodedRTLFunction:
         self.call_event = CallEvent(function.name)
         self.ret_event = ReturnEvent(function.name)
         self.entry: Callable = None  # filled by decode_program
+        self.code: list = []
         self.n_regs = 0
 
 
@@ -68,6 +70,18 @@ class DecodedRTLProgram:
         self.main = program.main
         self.globals_index = {var.name: index
                               for index, var in enumerate(program.globals)}
+
+    def release(self) -> None:
+        """Break the closure <-> code-list cycles of a finished run.
+
+        Every op closes over its function's ``code`` list, which holds
+        the op: without this, each (uncached) decode leaves thousands of
+        objects that only the cyclic GC can free, and the extra full
+        collections they trigger slow every later stage of a campaign.
+        """
+        for frec in self.functions.values():
+            frec.code.clear()
+            frec.entry = None
 
 
 def _n_regs(function: rtl.RTLFunction) -> int:
@@ -437,6 +451,7 @@ def _decode_function(function: rtl.RTLFunction, program: rtl.RTLProgram,
             detail = repr(instr)
             code[node] = (lambda detail: _raise_unknown(detail))(detail)
     frec.entry = code[function.entry]
+    frec.code = code
 
 
 def _raise_unknown(detail: str):
@@ -585,6 +600,8 @@ def run_streamed(program: rtl.RTLProgram, sink: Consumer,
         # FuelExhaustedError (a DynamicError subclass) — match it.
         return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
                              events=counting.count, steps=i)
+    finally:
+        dprog.release()
     if not m.done:
         return StreamOutcome(StreamOutcome.DIVERGES,
                              events=counting.count, steps=i)

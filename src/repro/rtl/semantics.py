@@ -21,16 +21,13 @@ from repro.runtime import call_external
 
 DEFAULT_FUEL = 5_000_000
 
-#: Engine selector: the pre-decoded threaded-code interpreter in
-#: :mod:`repro.rtl.decode` by default; ``decoded=False`` re-runs on the
-#: legacy step loop below (kept as the differential oracle).
-DEFAULT_DECODED = True
+#: Execution tiers: the step loop below (kept as the differential
+#: oracle) and the pre-decoded threaded-code interpreter in
+#: :mod:`repro.rtl.decode`.
+ENGINES = ("legacy", "decoded")
 
-#: Tier used when decoding is enabled at all: ``"codegen"`` (the
-#: per-program specialized driver) or ``"decoded"``.  Per-call
-#: ``engine=`` arguments override; ``DEFAULT_DECODED = False`` still
-#: forces the legacy loop everywhere (the old kill switch).
-DEFAULT_ENGINE = "codegen"
+#: Tier used when a call passes no ``engine=``.
+DEFAULT_ENGINE = "decoded"
 
 
 class _Activation:
@@ -179,18 +176,16 @@ class RTLMachine:
 
 def run_streamed(program: rtl.RTLProgram, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
-                 decoded: Optional[bool] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
     """Run ``program``, pushing every event into ``sink`` as emitted.
 
-    ``decoded`` selects the engine (None = :data:`DEFAULT_DECODED`);
+    ``engine`` selects the tier (None = :data:`DEFAULT_ENGINE`);
     both engines produce the same events, outcome classification and
     step counts by construction.  Note the legacy RTL loop treats
     ``FuelExhaustedError`` like any other ``DynamicError`` (it has no
     Clight-style special case); both engines preserve that.
     """
-    engine = engines.resolve(DEFAULT_DECODED, DEFAULT_ENGINE,
-                             decoded, engine)
+    engine = engines.resolve(engine, DEFAULT_ENGINE, ENGINES)
     if obs.enabled:
         # Wrapped at the entry point only — the step loops stay untouched.
         with obs.span("exec.rtl", engine=engine) as sp:
@@ -200,19 +195,12 @@ def run_streamed(program: rtl.RTLProgram, sink: Consumer,
         obs.add("interp.rtl.steps", outcome.steps)
         obs.add("interp.rtl.seconds", sp.dur)
         obs.add("interp.rtl.runs")
-        if engine == "codegen":
-            obs.add("interp.codegen.steps", outcome.steps)
-            obs.add("interp.codegen.seconds", sp.dur)
-            obs.add("interp.codegen.runs")
         return outcome
     return _run_streamed(program, sink, fuel, output, engine)
 
 
 def _run_streamed(program: rtl.RTLProgram, sink: Consumer, fuel: int,
                   output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "codegen":
-        from repro.rtl import codegen
-        return codegen.run_streamed(program, sink, fuel, output=output)
     if engine == "decoded":
         from repro.rtl import decode
         return decode.run_streamed(program, sink, fuel, output=output)
@@ -248,9 +236,8 @@ def _run_streamed(program: rtl.RTLProgram, sink: Consumer, fuel: int,
 
 def run_program(program: rtl.RTLProgram, fuel: int = DEFAULT_FUEL,
                 output: Optional[list] = None,
-                decoded: Optional[bool] = None,
                 engine: Optional[str] = None) -> Behavior:
     trace: list[Event] = []
     outcome = run_streamed(program, trace.append, fuel, output=output,
-                           decoded=decoded, engine=engine)
+                           engine=engine)
     return outcome.to_behavior(trace)

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro import obs
+from repro.asm.machine import ENGINES
 from repro.driver import (CompilerOptions, analyze_clight, compile_clight,
                           compile_frontend)
 from repro.errors import AnalysisError
@@ -472,7 +473,7 @@ def validate_response(data: Any) -> dict:
     if probe is not None:
         if not isinstance(probe, dict):
             _fail("probe must be an object")
-        if probe.get("engine") not in ("legacy", "decoded", "codegen"):
+        if probe.get("engine") not in ENGINES:
             _fail(f"probe.engine unknown: {probe.get('engine')!r}")
         if probe.get("codegen") not in ("warm", "store", "generated"):
             _fail(f"probe.codegen unknown: {probe.get('codegen')!r}")

@@ -74,23 +74,37 @@ def _apply_chaos(chaos: Optional[str]) -> None:
         return
     if chaos == "die":
         os._exit(1)
+    if chaos == "raise":
+        raise RuntimeError("chaos: injected worker exception")
     if chaos.startswith("sleep:"):
         time.sleep(float(chaos.split(":", 1)[1]))
 
 
 def _execute(payload: dict, store: ResultStore) -> tuple[int, dict]:
-    """Run one request against a store; returns ``(http_status, body)``."""
-    _apply_chaos(payload.get("chaos"))
-    request = ServeRequest(source=payload["source"],
-                           filename=payload["filename"],
-                           macros=payload["macros"],
-                           options=_options_from_key(payload["options"]),
-                           probe=bool(payload.get("probe", False)))
+    """Run one request against a store; returns ``(http_status, body)``.
+
+    A ``ReproError`` is a diagnosed input (422).  Any other exception is
+    a defect of the server itself: it is answered here as a 500 and
+    counted as ``serve.internal_errors``, so ``serve.worker_failures``
+    keeps meaning a worker process lost mid-request.
+    """
     try:
+        _apply_chaos(payload.get("chaos"))
+        request = ServeRequest(source=payload["source"],
+                               filename=payload["filename"],
+                               macros=payload["macros"],
+                               options=_options_from_key(payload["options"]),
+                               probe=bool(payload.get("probe", False)))
         return 200, run_pipeline(request, store)
     except ReproError as error:
         obs.add("serve.pipeline.rejected")
         return 422, error_response(error)
+    except Exception as error:
+        obs.add("serve.internal_errors")
+        body = error_response(error)
+        body.update(kind="InternalError",
+                    error=f"{type(error).__name__}: {error}")
+        return 500, body
 
 
 def _options_from_key(items: list) -> "CompilerOptions":

@@ -826,7 +826,7 @@ def _codegen_miscompile(knob: str, program) -> tuple[bool, str, str]:
         return False, "", ("miscompiled execution matched the decoded "
                            "oracle (fusion site not exercised)")
     return (True, "codegen-differential",
-            f"decoded={decoded[:3]} codegen={mutant[:3]}")
+            f"decoded {decoded[:3]} vs codegen {mutant[:3]}")
 
 
 def _asm_program(functions: dict, globals_=()) -> "asm_ast.AsmProgram":

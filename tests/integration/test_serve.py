@@ -300,6 +300,54 @@ class TestBackpressure:
         assert time.perf_counter() - started < 5.0
 
 
+class TestErrorContract:
+    """Every input ends in a verified answer or a 422 diagnosis; a 5xx
+    is a server defect, counted under a name that says which one."""
+
+    @pytest.mark.parametrize("expr", ["(" * 100 + "1" + ")" * 100,
+                                      "+".join(["1"] * 300)],
+                             ids=["parentheses", "long-sum"])
+    def test_deep_nesting_is_a_422_diagnostic(self, server, expr):
+        before = _pipeline_stats(server.bound_port)
+        status, body, _ = _post(server.bound_port, {
+            "source": f"int main(void){{ return {expr}; }}",
+            "filename": "deep.c"})
+        assert status == 422, body
+        assert body["verdict"] == "error"
+        assert body["error"].startswith("deep.c: ")
+        assert "nesting too deep" in body["error"]
+        delta = _delta(before, _pipeline_stats(server.bound_port))
+        assert delta.get("serve.worker_failures", 0) == 0
+        assert delta.get("serve.internal_errors", 0) == 0
+
+    @pytest.mark.parametrize("jobs", [0, 1], ids=["in-process", "pool"])
+    def test_unexpected_exception_is_an_internal_500(self, jobs):
+        from repro.serve.pool import ServePool
+
+        was_enabled = obs.enabled
+        obs.enable()
+        before = dict(obs.snapshot()["counters"])
+        pool = ServePool(jobs=jobs, queue_depth=2, timeout_s=60.0,
+                         store_root=None)
+        try:
+            source = "int main(void) { return 0; }"
+            status, body = pool.submit(source, chaos="raise")
+            # The request after the failure is served normally.
+            next_status, _ = pool.submit(source)
+        finally:
+            pool.close()
+            delta = _delta(before, dict(obs.snapshot()["counters"]))
+            if not was_enabled:
+                obs.disable()
+        assert status == 500
+        assert body["verdict"] == "error"
+        assert body["kind"] == "InternalError"
+        assert body["error"].startswith("RuntimeError: chaos")
+        assert delta.get("serve.internal_errors") == 1
+        assert delta.get("serve.worker_failures", 0) == 0
+        assert next_status == 200
+
+
 class TestHealthz:
     def test_health_document(self, server):
         health = _get(server.bound_port, "/healthz")

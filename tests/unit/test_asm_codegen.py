@@ -17,6 +17,7 @@ import pytest
 
 from repro import engines
 from repro.asm import codegen
+from repro.asm import machine as machine_mod
 from repro.asm.machine import AsmMachine, run_program
 from repro.driver import compile_c
 from repro.programs.catalog import ALL_RUNNABLE
@@ -137,25 +138,26 @@ def test_codegen_source_is_python():
 
 
 def test_engine_resolution():
-    """engine= wins over decoded=; defaults follow the two module knobs."""
-    assert engines.resolve(True, "codegen", None, None) == "codegen"
-    assert engines.resolve(True, "codegen", None, "legacy") == "legacy"
-    assert engines.resolve(True, "codegen", False, None) == "legacy"
-    assert engines.resolve(True, "codegen", True, None) == "decoded"
-    assert engines.resolve(True, "codegen", False, "codegen") == "codegen"
-    # DEFAULT_DECODED = False is the established kill switch: it forces
-    # the legacy loop unless a call site explicitly opts back in.
-    assert engines.resolve(False, "codegen", None, None) == "legacy"
+    """engine= wins; None defers to the module default; unknown names
+    are refused."""
+    choices = machine_mod.ENGINES
+    assert choices == ("legacy", "decoded", "codegen")
+    assert engines.resolve(None, "codegen", choices) == "codegen"
+    assert engines.resolve("legacy", "codegen", choices) == "legacy"
+    assert engines.resolve(None, "legacy", choices) == "legacy"
     with pytest.raises(ValueError):
-        engines.resolve(True, "codegen", None, "jit")
+        engines.resolve("jit", "codegen", choices)
 
 
-def test_engine_attribute_on_machine():
+def test_engine_attribute_on_machine(monkeypatch):
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
     assert AsmMachine(compilation.asm).engine == "codegen"
-    assert AsmMachine(compilation.asm, decoded=False).engine == "legacy"
+    assert AsmMachine(compilation.asm, engine="legacy").engine == "legacy"
     assert AsmMachine(compilation.asm, engine="decoded").engine == "decoded"
+    # The module default is read per call: benchmarks set it module-wide.
+    monkeypatch.setattr(machine_mod, "DEFAULT_ENGINE", "legacy")
+    assert AsmMachine(compilation.asm).engine == "legacy"
 
 
 def test_install_source_skips_generation():

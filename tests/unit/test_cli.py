@@ -213,6 +213,19 @@ class TestErrors:
         assert f"{path}:1:24:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("expr", ["(" * 100 + "1" + ")" * 100,
+                                      "+".join(["1"] * 300)],
+                             ids=["parentheses", "long-sum"])
+    def test_deep_nesting_is_diagnosed(self, tmp_path, capsys, expr):
+        """Nesting past the recursive-descent front end's depth is one
+        diagnosis naming the file, not a RecursionError traceback."""
+        path = tmp_path / "deep.c"
+        path.write_text(f"int main(void){{ return {expr}; }}")
+        assert main(["bounds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "nesting too deep" in err
+        assert "Traceback" not in err
+
     def test_recursion_reported(self, tmp_path, capsys):
         path = tmp_path / "rec.c"
         path.write_text("int f(int n) { return f(n); } "
@@ -294,3 +307,15 @@ class TestProfile:
                      "exec.mach", "total"):
             assert name in out, f"missing {name} in profile output"
         assert "steps/s" in out and "ms" in out
+        # The tier table asks each level for only the tiers it has:
+        # codegen exists on ASMsz alone.
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.split()[:4] == ["level", "legacy", "decoded",
+                                              "codegen"])
+        rows = {line.split()[0]: line.split()
+                for line in lines[header + 1:header + 5]}
+        assert set(rows) == {"clight", "rtl", "mach", "asm"}
+        for level, cells in rows.items():
+            assert "—" not in cells[1:3], cells
+            assert (cells[3] != "—") == (level == "asm"), cells

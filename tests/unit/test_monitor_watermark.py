@@ -91,8 +91,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("path", CATALOG_SAMPLE)
     def test_decoded_and_legacy_watermarks_match(self, path):
         compilation = compile_c(load_source(path), filename=path)
-        decoded = measure_compilation(compilation, decoded=True)
-        legacy = measure_compilation(compilation, decoded=False)
+        decoded = measure_compilation(compilation, engine="decoded")
+        legacy = measure_compilation(compilation, engine="legacy")
         assert decoded.converged and legacy.converged
         assert decoded.measured_bytes == legacy.measured_bytes
         assert decoded.return_code == legacy.return_code
@@ -101,8 +101,8 @@ class TestEngineEquivalence:
     def test_engines_agree_on_overflow_watermark(self):
         compilation = compile_c(DEEP)
         decoded = measure_compilation(compilation, stack_bytes=128,
-                                      decoded=True)
+                                      engine="decoded")
         legacy = measure_compilation(compilation, stack_bytes=128,
-                                     decoded=False)
+                                     engine="legacy")
         assert not decoded.converged and not legacy.converged
         assert decoded.measured_bytes == legacy.measured_bytes

@@ -12,12 +12,15 @@ same computation.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro import obs
 from repro.clight import semantics as clight_sem
 from repro.driver import compile_c
 from repro.events.stream import (BracketChecker, CountingSink, ExactMatcher,
-                                 PrunedMatcher, Tee)
+                                 PrunedMatcher, Tee, null_sink)
 from repro.events.trace import WeightFold, prune
 from repro.mach import semantics as mach_sem
 from repro.programs.catalog import ALL_RUNNABLE
@@ -37,11 +40,11 @@ LEVELS = [
 ]
 
 
-def _stream_fingerprint(sem, program, fuel, decoded):
+def _stream_fingerprint(sem, program, fuel, engine):
     trace: list = []
     output: list = []
     outcome = sem.run_streamed(program, trace.append, fuel=fuel,
-                               output=output, decoded=decoded)
+                               output=output, engine=engine)
     return (outcome.kind, outcome.return_code, outcome.reason,
             outcome.events, outcome.steps, tuple(trace), tuple(output))
 
@@ -49,8 +52,8 @@ def _stream_fingerprint(sem, program, fuel, decoded):
 def _assert_levels_agree(compilation, context=""):
     for name, sem, attr, fuel in LEVELS:
         program = getattr(compilation, attr)
-        legacy = _stream_fingerprint(sem, program, fuel, decoded=False)
-        decoded = _stream_fingerprint(sem, program, fuel, decoded=True)
+        legacy = _stream_fingerprint(sem, program, fuel, "legacy")
+        decoded = _stream_fingerprint(sem, program, fuel, "decoded")
         assert legacy == decoded, f"{name} disagrees {context}"
 
 
@@ -69,17 +72,17 @@ def test_generated_seed_agrees_at_every_ablation(seed):
         _assert_levels_agree(compilation, context=f"under ablation {name!r}")
 
 
-@pytest.mark.parametrize("decoded", [False, True])
-def test_run_program_matches_run_streamed(decoded):
+@pytest.mark.parametrize("engine", ["legacy", "decoded"])
+def test_run_program_matches_run_streamed(engine):
     """`run_program` is the materialized view of `run_streamed`."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
     for name, sem, attr, fuel in LEVELS:
         program = getattr(compilation, attr)
-        behavior = sem.run_program(program, fuel=fuel, decoded=decoded)
+        behavior = sem.run_program(program, fuel=fuel, engine=engine)
         trace: list = []
         outcome = sem.run_streamed(program, trace.append, fuel=fuel,
-                                   decoded=decoded)
+                                   engine=engine)
         assert type(behavior).__name__ == "Converges"
         assert outcome.converged
         assert tuple(behavior.trace) == tuple(trace)
@@ -93,10 +96,29 @@ def test_fuel_exhaustion_agrees(fuel):
                             filename="compcert/mandelbrot.c")
     for name, sem, attr, _fuel in LEVELS:
         program = getattr(compilation, attr)
-        legacy = _stream_fingerprint(sem, program, fuel, decoded=False)
-        decoded = _stream_fingerprint(sem, program, fuel, decoded=True)
+        legacy = _stream_fingerprint(sem, program, fuel, "legacy")
+        decoded = _stream_fingerprint(sem, program, fuel, "decoded")
         assert legacy == decoded, f"{name} disagrees at fuel {fuel}"
         assert legacy[0] == "diverges"
+
+
+@pytest.mark.parametrize("fuel", [10_000, INTERP_FUEL])
+def test_decoded_runs_leave_no_cyclic_garbage(fuel):
+    """RTL and Mach decode afresh for every run.  A finished run (fuel
+    exhausted or converged) must be freed by reference counting: a
+    decode left to the cyclic GC makes deep campaigns pay extra full
+    collections."""
+    compilation = compile_c(load_source("recursive/fib.c"),
+                            filename="recursive/fib.c")
+    for name, sem, attr, _fuel in LEVELS[1:]:
+        gc.collect()
+        gc.disable()
+        try:
+            sem.run_streamed(getattr(compilation, attr), null_sink,
+                             fuel=fuel, engine="decoded")
+            assert gc.collect() == 0, f"{name} left cyclic garbage"
+        finally:
+            gc.enable()
 
 
 def test_streaming_consumers_see_the_materialized_trace():
@@ -125,33 +147,53 @@ def test_streaming_consumers_see_the_materialized_trace():
 
 
 def test_deep_verdicts_identical_between_engines(monkeypatch):
-    """The deep campaign mode must produce byte-identical verdicts
-    whichever engine runs underneath."""
-    import repro.clight.semantics as cs
-    import repro.mach.semantics as ms
-    import repro.rtl.semantics as rs
-
+    """The deep campaign mode must produce identical verdicts (timings
+    aside) whichever engine runs underneath — and each arm must really
+    run every level on its engine, as the ``exec.*`` spans record."""
     verdicts = {}
-    for engine in (False, True):
-        monkeypatch.setattr(cs, "DEFAULT_DECODED", engine)
-        monkeypatch.setattr(rs, "DEFAULT_DECODED", engine)
-        monkeypatch.setattr(ms, "DEFAULT_DECODED", engine)
-        verdicts[engine] = [
-            check_seed(seed, deep=True, probes=False).as_json()
-            for seed in range(6)]
-    for old, new in zip(verdicts[False], verdicts[True]):
+    for engine in ("legacy", "decoded"):
+        for _name, sem, _attr, _fuel in LEVELS:
+            monkeypatch.setattr(sem, "DEFAULT_ENGINE", engine)
+        obs.reset()
+        obs.enable()
+        try:
+            verdicts[engine] = [
+                check_seed(seed, deep=True, probes=False).as_json()
+                for seed in range(6)]
+            spans = [record for record in obs.span_records()
+                     if record["name"] in ("exec.clight", "exec.rtl",
+                                           "exec.mach")]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert {record["name"] for record in spans} == {
+            "exec.clight", "exec.rtl", "exec.mach"}
+        assert {dict(record["attrs"])["engine"] for record in spans} == {
+            engine}
+    for old, new in zip(verdicts["legacy"], verdicts["decoded"]):
         old.pop("timings")
         new.pop("timings")
         assert old == new
 
 
+def test_engine_knob_per_level():
+    """Each level names exactly its two tiers; anything else is refused."""
+    compilation = compile_c(load_source("paper_example.c"),
+                            filename="paper_example.c")
+    for name, sem, attr, fuel in LEVELS:
+        assert sem.ENGINES == ("legacy", "decoded")
+        assert sem.DEFAULT_ENGINE == "decoded"
+        with pytest.raises(ValueError):
+            sem.run_program(getattr(compilation, attr), fuel=fuel,
+                            engine="codegen")
+
+
 def test_legacy_engines_stay_selectable():
-    """`decoded=False` must keep exercising the original machines (the
+    """`engine="legacy"` must keep exercising the original machines (the
     differential oracle depends on them remaining live code paths)."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
     for name, sem, attr, fuel in LEVELS:
-        assert sem.DEFAULT_DECODED is True
         behavior = sem.run_program(getattr(compilation, attr), fuel=fuel,
-                                   decoded=False)
+                                   engine="legacy")
         assert type(behavior).__name__ == "Converges"
